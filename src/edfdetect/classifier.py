@@ -99,16 +99,21 @@ def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
 
 def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
                    exclude_ids: list[str] | None = None) -> np.ndarray:
-    """(n_queries, K) matrix of per-class minimum Euclidean distances."""
+    """(n_queries, K) matrix of per-class minimum Euclidean distances.
+
+    A reference point whose patch id equals a query's nonempty exclude id
+    is left out of that query's scan (ids compared as integer codes).
+    """
     if queries.ndim != 2 or queries.shape[1] != ref.dim:
         raise DimensionMismatchError(
             f"queries must have shape (n, {ref.dim}), got {queries.shape}")
     full = cdist(queries, ref.vectors)
     if exclude_ids is not None:
-        ids = np.array(ref.patch_ids)
-        for i, qid in enumerate(exclude_ids):
-            if qid:
-                full[i, ids == qid] = np.inf
+        codes = {pid: k for k, pid in enumerate(ref.patch_ids)}
+        ref_codes = np.array([codes[pid] for pid in ref.patch_ids])
+        query_codes = np.array([codes.get(qid, -1) if qid else -1
+                                for qid in exclude_ids])
+        full[query_codes[:, None] == ref_codes[None, :]] = np.inf
     out = np.empty((queries.shape[0], len(ref.classes)))
     for j, c in enumerate(ref.classes):
         out[:, j] = full[:, ref.class_rows(c)].min(axis=1)
@@ -124,40 +129,41 @@ def min_class_distance(ref: LabeledFeatureSet, query: np.ndarray) -> np.ndarray:
     return _min_distances(ref, query[None, :])[0]
 
 
-def _entropy(p: np.ndarray) -> float:
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of every row of p; zero entries contribute nothing."""
+    pos = p > 0.0
+    return -np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0).sum(axis=1)
 
 
-def _posterior_from_distances(dist: np.ndarray, dim: int):
-    """Map per-class min distances to (probabilities, log p, log distances)."""
-    with np.errstate(divide="ignore"):
+def _posteriors(dist: np.ndarray, dim: int):
+    """Map an (n, K) min-distance matrix to (p, log p, log d, entropy) rows.
+
+    A row with one or more zero distances puts mass 1 uniformly on those
+    classes; every other row is normalized D^-m in log space.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_d = np.log(dist)
-    if (dist == 0.0).any():
-        p = (dist == 0.0).astype(float)
-        p /= p.sum()
-        with np.errstate(divide="ignore"):
-            log_p = np.log(p)
-        return p, log_p, log_d
-    ell = -dim * log_d
-    log_p = ell - logsumexp(ell)
-    p = np.exp(log_p)
-    total = p.sum()
-    if total > 0:
-        p = p / total
-    return p, log_p, log_d
+        ell = -dim * log_d
+        log_p = ell - logsumexp(ell, axis=1, keepdims=True)
+        p = np.exp(log_p)
+        total = p.sum(axis=1, keepdims=True)
+        np.divide(p, total, out=p, where=total > 0)
+        zero = dist == 0.0
+        tied = zero.any(axis=1)
+        if tied.any():
+            p_tied = zero[tied].astype(float)
+            p_tied /= p_tied.sum(axis=1, keepdims=True)
+            p[tied] = p_tied
+            log_p[tied] = np.log(p_tied)
+    return p, log_p, log_d, _entropy_rows(p)
 
 
 def posterior(ref: LabeledFeatureSet, query: np.ndarray,
               patch_id: str = "", true_label: str | None = None) -> PosteriorVector:
     """Posterior class probabilities for one query vector."""
-    dist = min_class_distance(ref, query)
-    p, log_p, log_d = _posterior_from_distances(dist, ref.dim)
-    k = int(np.argmax(p))
-    return PosteriorVector(probabilities=p, predicted=ref.classes[k],
-                           entropy=_entropy(p), log_probabilities=log_p,
-                           log_distances=log_d, patch_id=patch_id,
-                           true_label=true_label)
+    post = classify_batch(ref, np.asarray(query, dtype=float)[None, :])[0]
+    post.patch_id, post.true_label = patch_id, true_label
+    return post
 
 
 def classify_batch(ref: LabeledFeatureSet,
@@ -170,7 +176,7 @@ def classify_batch(ref: LabeledFeatureSet,
     """
     if isinstance(queries, np.ndarray):
         arr = np.asarray(queries, dtype=float)
-        if arr.size == 0:
+        if arr.shape[:1] == (0,):
             return []
         ids = [""] * arr.shape[0]
         true_labels: list[str | None] = [None] * arr.shape[0]
@@ -187,15 +193,13 @@ def classify_batch(ref: LabeledFeatureSet,
         true_labels = [fv.label for fv in queries]
 
     dists = _min_distances(ref, arr, exclude_ids=ids if leave_one_out else None)
-    out = []
-    for i in range(arr.shape[0]):
-        p, log_p, log_d = _posterior_from_distances(dists[i], ref.dim)
-        k = int(np.argmax(p))
-        out.append(PosteriorVector(probabilities=p, predicted=ref.classes[k],
-                                   entropy=_entropy(p), log_probabilities=log_p,
-                                   log_distances=log_d, patch_id=ids[i],
-                                   true_label=true_labels[i]))
-    return out
+    p, log_p, log_d, entropy = _posteriors(dists, ref.dim)
+    predicted = np.argmax(p, axis=1)
+    return [PosteriorVector(probabilities=p[i], predicted=ref.classes[predicted[i]],
+                            entropy=float(entropy[i]), log_probabilities=log_p[i],
+                            log_distances=log_d[i], patch_id=ids[i],
+                            true_label=true_labels[i])
+            for i in range(arr.shape[0])]
 
 
 def load_reference_csv(path: str | Path) -> LabeledFeatureSet:

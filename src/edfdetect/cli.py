@@ -129,8 +129,7 @@ def cmd_evaluate(args) -> int:
     seeds = derive_run_seeds(seed, runs)
     report = met.repeated_evaluation(vectors, seeds=seeds,
                                      train_fraction=train_frac,
-                                     defect_classes=defect_classes,
-                                     threads=args.threads)
+                                     defect_classes=defect_classes)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     json_path = out.with_suffix(".json") if out.suffix != ".json" else out
@@ -187,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated classes merged into 'defect' "
                          "(default crater,dirt)")
     ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--threads", type=int, default=1,
-                    help="run the stratified evaluations in parallel")
     ev.set_defaults(func=cmd_evaluate)
 
     return parser

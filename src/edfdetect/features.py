@@ -200,13 +200,18 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
         for row in reader:
             if not row:
                 continue
-            m = int(row[4])
+            where = f"{path}:{reader.line_num}"
+            try:
+                m = int(row[4])
+                frequency, phase = float(row[2]), float(row[3])
+                tau = np.array([float(v) for v in row[5:]])
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"{where}: malformed feature row ({exc})") from exc
             if len(row) != 5 + m:
-                raise DataError(f"{path}: row for {row[0]!r} has wrong tau count")
-            tau = np.array([float(v) for v in row[5:]])
+                raise DataError(f"{where}: row for {row[0]!r} has wrong tau count")
             if not np.isfinite(tau).all():
-                raise DataError(f"{path}: row for {row[0]!r} has non-finite tau")
+                raise DataError(f"{where}: row for {row[0]!r} has non-finite tau")
             out.append(FeatureVector(tau=tau, raw_edf=None,
                                      label=row[1] or None, patch_id=row[0],
-                                     frequency=float(row[2]), phase=float(row[3])))
+                                     frequency=frequency, phase=phase))
     return out

@@ -17,12 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .classifier import PosteriorVector, build_reference, classify_batch
+from .classifier import (PosteriorVector, _entropy_rows, build_reference,
+                         classify_batch)
 from .errors import DataError
 from .features import FeatureVector
 
@@ -41,6 +43,21 @@ class BinaryPosterior:
     true_defect: bool | None = None
 
 
+def _merge_rows(probabilities: np.ndarray, classes: tuple[str, ...],
+                defect_classes: set[str]):
+    """(p_defect, p_defect_free, predicted_defect, entropy) rows of an (n, K) matrix."""
+    cl = set(classes)
+    if not defect_classes or not defect_classes < cl:
+        raise DataError(
+            f"defect classes {sorted(defect_classes)} must be a nonempty proper "
+            f"subset of {sorted(cl)}")
+    mask = np.array([c in defect_classes for c in classes])
+    p_def = probabilities[:, mask].sum(axis=1)
+    p_free = probabilities[:, ~mask].sum(axis=1)
+    entropy = _entropy_rows(np.column_stack([p_def, p_free]))
+    return p_def, p_free, p_def >= p_free, entropy
+
+
 def merge_defect_classes(post: PosteriorVector, classes: tuple[str, ...],
                          defect_classes: set[str]) -> BinaryPosterior:
     """Collapse a multi-class posterior into (p_defect, p_defect_free).
@@ -49,22 +66,14 @@ def merge_defect_classes(post: PosteriorVector, classes: tuple[str, ...],
     merged probabilities sum to the original total, and the binary label is
     the argmax with ties going to defect.
     """
-    cl = set(classes)
-    if not defect_classes or not defect_classes < cl:
-        raise DataError(
-            f"defect classes {sorted(defect_classes)} must be a nonempty proper "
-            f"subset of {sorted(cl)}")
-    mask = np.array([c in defect_classes for c in classes])
-    p_def = float(post.probabilities[mask].sum())
-    p_free = float(post.probabilities[~mask].sum())
-    p = np.array([p_def, p_free])
-    ent = float(-(p[p > 0] * np.log(p[p > 0])).sum())
+    p_def, p_free, predicted, entropy = _merge_rows(
+        post.probabilities[None, :], classes, defect_classes)
     true_defect = None
     if post.true_label is not None:
         true_defect = post.true_label in defect_classes
-    return BinaryPosterior(p_defect=p_def, p_defect_free=p_free,
-                           predicted_defect=p_def >= p_free, entropy=ent,
-                           true_defect=true_defect)
+    return BinaryPosterior(p_defect=float(p_def[0]), p_defect_free=float(p_free[0]),
+                           predicted_defect=bool(predicted[0]),
+                           entropy=float(entropy[0]), true_defect=true_defect)
 
 
 def probability_metrics(is_defect: list[bool], p_defect: list[float]):
@@ -76,7 +85,7 @@ def probability_metrics(is_defect: list[bool], p_defect: list[float]):
     """
     if len(is_defect) != len(p_defect):
         raise DataError("labels and posteriors must have equal length")
-    if not is_defect:
+    if len(is_defect) == 0:
         raise DataError("empty input")
     truth = np.asarray(is_defect, dtype=bool)
     p1 = np.asarray(p_defect, dtype=float)
@@ -91,7 +100,7 @@ def hard_metrics(is_defect: list[bool], predicted_defect: list[bool]):
     """Conventional counting rates (mer, fpr, fnr); absent classes give None."""
     if len(is_defect) != len(predicted_defect):
         raise DataError("labels and predictions must have equal length")
-    if not is_defect:
+    if len(is_defect) == 0:
         raise DataError("empty input")
     truth = np.asarray(is_defect, dtype=bool)
     pred = np.asarray(predicted_defect, dtype=bool)
@@ -230,25 +239,26 @@ def evaluate_single_run(features: list[FeatureVector], seed: int,
     labels = [fv.label or "" for fv in features]
     train_idx, val_idx = stratified_split(labels, train_fraction, seed)
     ref = build_reference([features[i] for i in train_idx])
-    queries = [features[i] for i in val_idx]
-    posts = classify_batch(ref, queries)
+    posts = classify_batch(ref, [features[i] for i in val_idx])
+    probabilities = np.array([p.probabilities for p in posts])
 
-    true_labels = [features[i].label for i in val_idx]
-    mer_multi = float(np.mean([p.predicted != t for p, t in zip(posts, true_labels)]))
+    true_labels = [labels[i] for i in val_idx]
     class_pos = {c: j for j, c in enumerate(ref.classes)}
-    p_true = [float(p.probabilities[class_pos[t]]) if t in class_pos else 0.0
-              for p, t in zip(posts, true_labels)]
-    prob_mer_multi = float(np.mean([1.0 - pt for pt in p_true]))
+    true_pos = np.array([class_pos.get(t, -1) for t in true_labels])
+    p_true = np.where(true_pos >= 0,
+                      probabilities[np.arange(len(posts)), true_pos], 0.0)
+    mer_multi = float(np.mean(np.argmax(probabilities, axis=1) != true_pos))
+    prob_mer_multi = float(np.mean(1.0 - p_true))
 
-    merged = [merge_defect_classes(p, ref.classes, defect_classes) for p in posts]
-    truth = [t in defect_classes for t in true_labels]
-    mer, fpr, fnr = hard_metrics(truth, [m.predicted_defect for m in merged])
-    prob_mer, prob_fpr, prob_fnr = probability_metrics(
-        truth, [m.p_defect for m in merged])
+    p_def, _, predicted, entropy = _merge_rows(probabilities, ref.classes,
+                                               defect_classes)
+    truth = np.array([t in defect_classes for t in true_labels])
+    mer, fpr, fnr = hard_metrics(truth, predicted)
+    prob_mer, prob_fpr, prob_fnr = probability_metrics(truth, p_def)
     return {
         "mer": mer, "fpr": fpr, "fnr": fnr,
         "prob_mer": prob_mer, "prob_fpr": prob_fpr, "prob_fnr": prob_fnr,
-        "avg_entropy": average_entropy(merged),
+        "avg_entropy": float(np.mean(entropy)),
         "mer_multiclass": mer_multi,
         "prob_mer_multiclass": prob_mer_multi,
         "avg_entropy_multiclass": average_entropy(posts),
@@ -257,59 +267,38 @@ def evaluate_single_run(features: list[FeatureVector], seed: int,
 
 def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
                         train_fraction: float = 0.7,
-                        defect_classes: set[str] | None = None,
-                        threads: int = 1) -> EvaluationReport:
+                        defect_classes: set[str] | None = None) -> EvaluationReport:
     """Run split -> classify -> metrics once per seed and aggregate.
 
-    Splits are pure functions of their seed, so runs are independent and may
-    execute in parallel (threads > 1) without changing the result. Per-run
-    metric values are kept alongside across-run means and standard errors.
+    Per-run metric values are kept alongside across-run means and standard
+    errors.
     """
     if not seeds:
         raise DataError("need at least one seed")
     if defect_classes is None:
         defect_classes = {"crater", "dirt"}
-    labels = [fv.label or "" for fv in features]
-    classes: list[str] = []
-    for lab in labels:
-        if lab not in classes:
-            classes.append(lab)
+    # validation points per class under stratified_split's rule, any seed
+    val_counts = {c: n - int(math.floor(n * train_fraction + 0.5))
+                  for c, n in Counter(fv.label or "" for fv in features).items()}
+    classes = tuple(val_counts)
     present_defects = {c for c in classes if c in defect_classes}
 
     series: dict[str, MetricSeries] = {
         name: MetricSeries() for name in BINARY_METRICS + THREE_CLASS_METRICS}
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(evaluate_single_run, features, seed,
-                                   train_fraction, present_defects)
-                       for seed in seeds]
-            results = []
-            for run, fut in enumerate(futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    raise DataError(f"evaluation run {run} (seed {seeds[run]}) "
-                                    f"failed: {exc}") from exc
-    else:
-        results = []
-        for run, seed in enumerate(seeds):
-            try:
-                results.append(evaluate_single_run(features, seed,
-                                                   train_fraction,
-                                                   present_defects))
-            except Exception as exc:
-                raise DataError(f"evaluation run {run} (seed {seed}) failed: "
-                                f"{exc}") from exc
-    for result in results:
+    for run, seed in enumerate(seeds):
+        try:
+            result = evaluate_single_run(features, seed, train_fraction,
+                                         present_defects)
+        except Exception as exc:
+            raise DataError(f"evaluation run {run} (seed {seed}) failed: "
+                            f"{exc}") from exc
         for name, value in result.items():
             series[name].runs.append(value)
 
-    _, val_idx = stratified_split(labels, train_fraction, seeds[0])
-    val_labels = [labels[i] for i in val_idx]
-    n_defect = sum(1 for lab in val_labels if lab in present_defects)
+    n_total = sum(val_counts.values())
+    n_defect = sum(val_counts[c] for c in present_defects)
     return EvaluationReport(
-        classes=tuple(classes), defect_classes=tuple(sorted(present_defects)),
+        classes=classes, defect_classes=tuple(sorted(present_defects)),
         train_fraction=train_fraction, seeds=tuple(seeds),
-        n_total=len(val_labels), n_defect=n_defect,
-        n_defect_free=len(val_labels) - n_defect, metrics=series)
+        n_total=n_total, n_defect=n_defect,
+        n_defect_free=n_total - n_defect, metrics=series)

@@ -5,6 +5,7 @@ import csv
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from edfdetect.classifier import (build_reference, classify_batch,
                                   load_reference_csv, min_class_distance,
@@ -136,18 +137,73 @@ def test_classify_batch_self_match():
     assert all(p.predicted == v.label for p, v in zip(posts, vectors))
 
 
-def test_classify_batch_matches_single_calls():
+def _oracle_posterior(dist, dim):
+    """The per-row posterior formula the batched pass replaced."""
+    with np.errstate(divide="ignore"):
+        log_d = np.log(dist)
+    if (dist == 0.0).any():
+        p = (dist == 0.0).astype(float)
+        p /= p.sum()
+        with np.errstate(divide="ignore"):
+            log_p = np.log(p)
+        return p, log_p, log_d
+    ell = -dim * log_d
+    log_p = ell - logsumexp(ell)
+    p = np.exp(log_p)
+    total = p.sum()
+    if total > 0:
+        p = p / total
+    return p, log_p, log_d
+
+
+def _oracle_entropy(p):
+    pos = p[p > 0.0]
+    return float(-(pos * np.log(pos)).sum())
+
+
+def test_classify_batch_matches_per_row_oracle():
+    dim = 171
     rng = np.random.default_rng(3)
-    vectors = [fv(rng.standard_normal(5), ("a", "b")[i % 2], f"p{i}")
-               for i in range(40)]
+    shared = rng.uniform(0.0, 1.0, dim)
+    near = np.zeros(dim); near[0] = 1e-3
+    far = np.zeros(dim); far[1] = 1e3
+    vectors = [fv(rng.uniform(0.0, 1.0, dim), ("a", "b", "c")[i % 3], f"p{i}")
+               for i in range(30)]
+    vectors += [fv(shared, "a", "sa"), fv(shared, "b", "sb"),
+                fv(near, "a", "near"), fv(far, "b", "far"), fv(-far, "c", "far2")]
     ref = build_reference(vectors)
-    queries = [fv(rng.standard_normal(5), None, f"q{i}") for i in range(100)]
+    queries = [fv(rng.uniform(0.0, 1.0, dim), None, f"q{i}") for i in range(40)]
+    queries += [fv(vectors[4].tau, None, "one_zero"),   # zero distance to class b
+                fv(shared, None, "two_zero"),            # zero distance to a and b
+                fv(np.zeros(dim), None, "underflow")]    # b and c flush to 0.0
     batch = classify_batch(ref, queries)
+
     for q, got in zip(queries, batch):
-        single = posterior(ref, q.tau, patch_id=q.patch_id)
-        np.testing.assert_array_equal(got.probabilities, single.probabilities)
-        assert got.predicted == single.predicted
-        assert got.entropy == single.entropy
+        p, log_p, log_d = _oracle_posterior(min_class_distance(ref, q.tau), dim)
+        np.testing.assert_array_equal(got.probabilities, p)
+        np.testing.assert_array_equal(got.log_probabilities, log_p)
+        np.testing.assert_array_equal(got.log_distances, log_d)
+        assert got.entropy == _oracle_entropy(p)
+        assert got.predicted == ref.classes[int(np.argmax(p))]
+        assert got.patch_id == q.patch_id
+    by_id = {q.patch_id: got for q, got in zip(queries, batch)}
+    np.testing.assert_array_equal(by_id["one_zero"].probabilities, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(by_id["two_zero"].probabilities, [0.5, 0.5, 0.0])
+    flushed = by_id["underflow"]
+    assert flushed.probabilities[0] == 1.0
+    assert (flushed.probabilities[1:] == 0.0).all()
+    assert np.isfinite(flushed.log_probabilities).all()
+
+
+def test_posterior_is_one_row_batch():
+    ref = simple_ref()
+    post = posterior(ref, np.array([1.0, 0.5]), patch_id="x", true_label="b")
+    (row,) = classify_batch(ref, np.array([[1.0, 0.5]]))
+    np.testing.assert_array_equal(post.probabilities, row.probabilities)
+    assert (post.patch_id, post.true_label) == ("x", "b")
+    for bad in (np.zeros(3), np.zeros(0)):
+        with pytest.raises(DimensionMismatchError):
+            posterior(ref, bad)
 
 
 def test_leave_one_out_excludes_matching_id():
@@ -158,6 +214,21 @@ def test_leave_one_out_excludes_matching_id():
     excluded = classify_batch(ref, [vectors[0]], leave_one_out=True)[0]
     assert np.exp(included.log_distances[0]) == 0.0
     assert abs(np.exp(excluded.log_distances[0]) - 1.0) <= 1e-12
+
+
+def test_leave_one_out_matches_per_query_scan():
+    rng = np.random.default_rng(8)
+    vectors = [fv(rng.standard_normal(3), ("a", "b")[i % 2], f"p{i % 7}")
+               for i in range(20)]
+    ref = build_reference(vectors)
+    queries = vectors[:5] + [fv(rng.standard_normal(3), "a", ""),
+                             fv(rng.standard_normal(3), "b", "absent")]
+    posts = classify_batch(ref, queries, leave_one_out=True)
+    for q, post in zip(queries, posts):
+        keep = [v for v in vectors if not q.patch_id or v.patch_id != q.patch_id]
+        for j, cls in enumerate(ref.classes):
+            brute = min(np.linalg.norm(v.tau - q.tau) for v in keep if v.label == cls)
+            assert abs(np.exp(post.log_distances[j]) - brute) <= 1e-12
 
 
 def test_posterior_normalization_across_dims():

@@ -188,18 +188,6 @@ def test_extract_threads_match_serial(pipeline):
     assert out.read_bytes() == feats.read_bytes()
 
 
-def test_evaluate_threads_match_serial(pipeline):
-    root, _, _, feats = pipeline
-    serial = root / "eval_serial.json"
-    parallel = root / "eval_parallel.json"
-    assert cli.main(["evaluate", "--features", str(feats), "--out", str(serial),
-                     "--seed", "5", "--runs", "3"]) == 0
-    assert cli.main(["evaluate", "--features", str(feats), "--out",
-                     str(parallel), "--seed", "5", "--runs", "3",
-                     "--threads", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_evaluate_config_file_with_flag_override(pipeline, tmp_path):
     root, _, _, feats = pipeline
     cfg = tmp_path / "eval.cfg"
@@ -223,3 +211,25 @@ def test_evaluate_without_seed_is_config_error(pipeline):
     rc = cli.main(["evaluate", "--features", str(feats),
                    "--out", str(root / "noseed.json")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("column, value", [(4, "x91"), (2, "eight"),
+                                           (3, ""), (5, "nan?")])
+def test_malformed_feature_field_is_data_error(pipeline, tmp_path, capsys,
+                                               column, value):
+    _, _, _, feats = pipeline
+    lines = feats.read_text().splitlines()
+    row = lines[2].split(",")
+    row[column] = value
+    lines[2] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["classify", "--reference", str(feats), "--queries", str(bad),
+                   "--out", str(tmp_path / "post.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ")
+    payload = json.loads(err[0].split(" ", 1)[1])
+    assert payload["exit_code"] == 3 and payload["error"] == "DataError"
+    assert f"{bad}:3:" in payload["message"]

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from edfdetect.classifier import PosteriorVector
+from edfdetect.classifier import PosteriorVector, build_reference, classify_batch
 from edfdetect.errors import DataError
 from edfdetect.features import FeatureVector
-from edfdetect.metrics import (average_entropy, hard_metrics,
-                               merge_defect_classes, one_against_all,
-                               probability_metrics, repeated_evaluation,
-                               stratified_split)
+from edfdetect.metrics import (average_entropy, evaluate_single_run,
+                               hard_metrics, merge_defect_classes,
+                               one_against_all, probability_metrics,
+                               repeated_evaluation, stratified_split)
 
 CLASSES = ("defect_free", "crater", "dirt")
 
@@ -251,3 +251,50 @@ def test_report_serialization(tmp_path):
     assert len(doc["metrics"]["mer"]["runs"]) == 2
     text = csv_path.read_text()
     assert "mer,mean," in text
+
+
+def overlapping_dataset():
+    # noisy, overlapping classes plus exact duplicates across classes, so
+    # runs see errors, hesitant posteriors and zero-distance ties
+    rng = np.random.default_rng(8)
+    vectors = [fv(rng.standard_normal(3) * 0.8 + k, label, f"{label}_{i}")
+               for k, label in enumerate(CLASSES) for i in range(15)]
+    vectors += [fv(np.full(3, 0.5), label, f"{label}_dup") for label in CLASSES]
+    return vectors
+
+
+def test_single_run_binary_metrics_match_per_post_merge():
+    data = overlapping_dataset()
+    labels = [v.label for v in data]
+    for seed in range(6):
+        got = evaluate_single_run(data, seed, 0.7, {"crater", "dirt"})
+        train, val = stratified_split(labels, 0.7, seed)
+        ref = build_reference([data[i] for i in train])
+        posts = classify_batch(ref, [data[i] for i in val])
+        merged = [merge_defect_classes(p, ref.classes, {"crater", "dirt"})
+                  for p in posts]
+        assert all(m.true_defect is not None for m in merged)
+        truth = [m.true_defect for m in merged]
+        mer, fpr, fnr = hard_metrics(truth, [m.predicted_defect for m in merged])
+        prob = probability_metrics(truth, [m.p_defect for m in merged])
+        assert (got["mer"], got["fpr"], got["fnr"]) == (mer, fpr, fnr)
+        assert (got["prob_mer"], got["prob_fpr"], got["prob_fnr"]) == prob
+        assert got["avg_entropy"] == average_entropy(merged)
+        assert got["mer_multiclass"] == float(np.mean(
+            [p.predicted != data[i].label for p, i in zip(posts, val)]))
+        p_true = [float(p.probabilities[ref.classes.index(data[i].label)])
+                  for p, i in zip(posts, val)]
+        assert got["prob_mer_multiclass"] == float(np.mean([1.0 - t for t in p_true]))
+        assert got["avg_entropy_multiclass"] == average_entropy(posts)
+
+
+def test_report_counts_follow_split_rule():
+    data = overlapping_dataset()
+    labels = [v.label for v in data]
+    for frac in (0.3, 0.5, 0.7, 0.9):
+        report = repeated_evaluation(data, seeds=[4, 5], train_fraction=frac)
+        for seed in (4, 5, 99):
+            _, val = stratified_split(labels, frac, seed)
+            val_labels = [labels[i] for i in val]
+            assert report.n_total == len(val)
+            assert report.n_defect == sum(lab != "defect_free" for lab in val_labels)
