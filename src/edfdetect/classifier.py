@@ -29,10 +29,9 @@ from .features import FeatureVector, read_features_csv
 
 @dataclass
 class LabeledFeatureSet:
-    """Immutable reference sample: vectors, labels, and class bookkeeping."""
+    """Immutable reference sample: vectors and class bookkeeping."""
 
     vectors: np.ndarray                 # (N, m)
-    labels: tuple[str, ...]             # (N,)
     classes: tuple[str, ...]            # (K,) in order of first appearance
     patch_ids: tuple[str, ...]          # (N,)
     _by_class: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
@@ -91,8 +90,7 @@ def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
     arr = np.array([fv.tau for fv in vectors], dtype=float)
     label_arr = np.array(labels)
     by_class = {c: np.flatnonzero(label_arr == c) for c in classes}
-    return LabeledFeatureSet(vectors=arr, labels=tuple(labels),
-                             classes=tuple(classes),
+    return LabeledFeatureSet(vectors=arr, classes=tuple(classes),
                              patch_ids=tuple(fv.patch_id for fv in vectors),
                              _by_class=by_class)
 
@@ -202,9 +200,16 @@ def classify_batch(ref: LabeledFeatureSet,
             for i in range(arr.shape[0])]
 
 
-def load_reference_csv(path: str | Path) -> LabeledFeatureSet:
-    """Build a reference set from a features CSV (labeled rows only)."""
-    vectors = [fv for fv in read_features_csv(path) if fv.label]
+def load_reference_csv(path: str | Path,
+                       rows: list[FeatureVector] | None = None) -> LabeledFeatureSet:
+    """Build a reference set from a features CSV (labeled rows only).
+
+    rows, when given, are that file's vectors already read, so a caller
+    that also needs them as queries parses the file once.
+    """
+    if rows is None:
+        rows = read_features_csv(path)
+    vectors = [fv for fv in rows if fv.label]
     if not vectors:
         raise DataError(f"{path}: no labeled feature vectors")
     return build_reference(vectors)

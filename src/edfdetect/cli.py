@@ -28,22 +28,25 @@ EXIT_NUMERIC_ERROR = 4
 
 def derive_run_seeds(seed: int, n_runs: int) -> list[int]:
     """Per-run split seeds derived deterministically from the base seed."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if n_runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {n_runs}")
     state = np.random.SeedSequence(seed).generate_state(n_runs)
     return [int(v) for v in state]
 
 
+def _config_values(path: str | None) -> dict[str, tuple[str, str]]:
+    if not path:
+        return {}
+    return synth.parse_key_values(Path(path).read_text().splitlines(), path)
+
+
 def _load_config(args) -> synth.GenerationConfig:
-    if args.config:
-        cfg = synth.parse_generation_config(Path(args.config).read_text())
-    else:
-        cfg = synth.GenerationConfig()
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        cfg = synth.apply_config_override(cfg, key.strip(), val.strip())
-    cfg.validate()
-    return cfg
+    """--config values, then --set values on top; validated once, after both."""
+    values = _config_values(args.config)
+    values.update(synth.parse_key_values(args.set or [], "--set"))
+    return synth.generation_config(values)
 
 
 def cmd_generate(args) -> int:
@@ -79,38 +82,29 @@ def cmd_extract(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    ref = load_reference_csv(args.reference)
-    queries = feat.read_features_csv(args.queries)
+    rows = feat.read_features_csv(args.reference)
+    ref = load_reference_csv(args.reference, rows)
+    same_file = Path(args.queries).resolve() == Path(args.reference).resolve()
+    queries = rows if same_file else feat.read_features_csv(args.queries)
     posts = classify_batch(ref, queries, leave_one_out=args.leave_one_out)
     write_posteriors_csv(posts, ref.classes, args.out)
     print(args.out)
     return 0
 
 
-_EVALUATE_CONFIG_KEYS = ("train_frac", "runs", "merge", "seed")
+_EVALUATE_CONFIG_KEYS = {"train_frac": float, "runs": int, "merge": str, "seed": int}
 
 
 def _evaluate_params(args) -> tuple[float, int, str, int]:
     """Merge evaluate's config file with its flags; flags win."""
     values = {"train_frac": 0.7, "runs": 10, "merge": "crater,dirt", "seed": None}
-    if args.config:
-        for lineno, line in enumerate(Path(args.config).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or key not in _EVALUATE_CONFIG_KEYS:
-                raise ConfigError(f"{args.config}:{lineno}: unknown key {line!r}")
-            try:
-                if key == "train_frac":
-                    values[key] = float(val)
-                elif key in ("runs", "seed"):
-                    values[key] = int(val)
-                else:
-                    values[key] = val
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
+    for key, (val, where) in _config_values(args.config).items():
+        if key not in _EVALUATE_CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = _EVALUATE_CONFIG_KEYS[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {val!r}") from exc
     for key in _EVALUATE_CONFIG_KEYS:
         flag = getattr(args, key)
         if flag is not None:

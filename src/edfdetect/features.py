@@ -24,9 +24,6 @@ import numpy as np
 from .errors import DataError, DegenerateGcvError
 from .splinefit import SplineModel, build_spline_model, select_lambda
 
-# Patch sides used in plant-compatible runs; other odd sides >= 31 also work.
-STANDARD_PATCH_SIDES = (31, 51, 71, 91, 111, 131, 151, 171)
-
 # Standard deviation below this marks a constant (degenerate) patch.
 _CONSTANT_STD_TOL = 1e-12
 

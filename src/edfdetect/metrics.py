@@ -127,6 +127,10 @@ def one_against_all(posteriors: list[PosteriorVector], classes: tuple[str, ...],
     return probability_metrics(truth, [m.p_defect for m in merged])
 
 
+def _train_count(n: int, train_fraction: float) -> int:
+    return int(math.floor(n * train_fraction + 0.5))
+
+
 def stratified_split(labels: list[str], train_fraction: float,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-class split; returns sorted (train, validation) indices.
@@ -148,7 +152,7 @@ def stratified_split(labels: list[str], train_fraction: float,
         idx = np.flatnonzero(labels_arr == c)
         if len(idx) < 2:
             raise DataError(f"class {c!r} has {len(idx)} member(s); need >= 2")
-        k = int(math.floor(len(idx) * train_fraction + 0.5))
+        k = _train_count(len(idx), train_fraction)
         perm = rng.permutation(idx)
         train_idx.append(perm[:k])
         val_idx.append(perm[k:])
@@ -278,7 +282,7 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
     if defect_classes is None:
         defect_classes = {"crater", "dirt"}
     # validation points per class under stratified_split's rule, any seed
-    val_counts = {c: n - int(math.floor(n * train_fraction + 0.5))
+    val_counts = {c: n - _train_count(n, train_fraction)
                   for c, n in Counter(fv.label or "" for fv in features).items()}
     classes = tuple(val_counts)
     present_defects = {c for c in classes if c in defect_classes}

@@ -28,15 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import Patch
+from .features import Patch, q_for_frequency
 
 DEFECT_FREE = "defect_free"
 CRATER = "crater"
 DIRT = "dirt"
 CLASS_ORDER = (DEFECT_FREE, CRATER, DIRT)
-
-PAPER_FREQUENCIES = (8.0, 16.0, 32.0, 64.0)
-PAPER_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -200,10 +197,19 @@ def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
         raise DataError(f"{path}: not a P2 PGM file")
     if lo is None or hi is None:
         raise DataError(f"{path}: missing '# range lo hi' comment")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    grey = np.array([int(t) for t in tokens[4:]], dtype=float)
+    try:
+        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        grey = np.array([int(t) for t in tokens[4:]], dtype=float)
+    except IndexError as exc:
+        raise DataError(f"{path}: truncated PGM header") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: non-integer PGM token ({exc})") from exc
+    if width < 1 or height < 1 or maxval < 1:
+        raise DataError(f"{path}: bad PGM header {width} {height} {maxval}")
     if grey.size != width * height:
         raise DataError(f"{path}: expected {width * height} samples, got {grey.size}")
+    if grey.min() < 0 or grey.max() > maxval:
+        raise DataError(f"{path}: samples outside 0..{maxval}")
     pixels = lo + grey.reshape(height, width) / maxval * (hi - lo)
     return pixels, lo, hi
 
@@ -242,11 +248,6 @@ _AUTO_NOISE_FRAC = {20: 0.20, 30: 0.12, 40: 0.08}
 _AUTO_DIRT_RADIUS = {20: (8.0, 12.0), 30: (6.0, 10.0), 40: (5.0, 9.0)}
 
 
-def _q_for_frequency(f: float) -> int:
-    # mirror of features.q_for_frequency, kept local to avoid a cycle
-    return 20 if f <= 8 else (30 if f <= 32 else 40)
-
-
 @dataclass
 class GenerationConfig:
     """Desk-scale dataset recipe; counts default to the plant proportions.
@@ -275,7 +276,7 @@ class GenerationConfig:
 
     def channel_spec(self, f: float, psi: float) -> PatternSpec:
         """Resolve the pattern spec for one channel, applying auto defaults."""
-        q = _q_for_frequency(f)
+        q = q_for_frequency(f)
         width = self.pattern_width
         if width is None:
             width = max(round(f * self.m / _AUTO_CYCLES[q]), self.m)
@@ -289,7 +290,7 @@ class GenerationConfig:
     def dirt_radius_for(self, f: float) -> tuple[float, float]:
         if self.dirt_radius is not None:
             return self.dirt_radius
-        return _AUTO_DIRT_RADIUS[_q_for_frequency(f)]
+        return _AUTO_DIRT_RADIUS[q_for_frequency(f)]
 
     def validate(self) -> None:
         if self.m < 31 or self.m % 2 == 0:
@@ -300,14 +301,23 @@ class GenerationConfig:
             raise ConfigError("class counts must be >= 0")
         if not self.frequencies or not self.phases:
             raise ConfigError("need at least one frequency and one phase")
+        if not all(0 < f < math.inf for f in self.frequencies):
+            raise ConfigError(
+                f"frequencies must be in (0, inf), got {self.frequencies}")
+        if not all(math.isfinite(psi) for psi in self.phases):
+            raise ConfigError(f"phases must be finite, got {self.phases}")
+        for name in ("offset", "amplitude", "noise_sigma", "center_jitter"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("crater_radius", "crater_strength", "dirt_radius",
                      "dirt_strength"):
             bounds = getattr(self, name)
             if bounds is None:
                 continue
             lo, hi = bounds
-            if lo <= 0 or hi < lo:
-                raise ConfigError(f"{name} must satisfy 0 < lo <= hi")
+            if not 0 < lo <= hi < math.inf:
+                raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf")
         if self.file_format not in ("pgm", "csv"):
             raise ConfigError(f"file format must be pgm or csv, got {self.file_format}")
 
@@ -323,21 +333,33 @@ def _parse_phase(token: str) -> float:
     return float(token)
 
 
-def parse_generation_config(text: str) -> GenerationConfig:
-    """Parse the flat key=value generation config format."""
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def parse_key_values(lines: list[str], source: str) -> dict[str, tuple[str, str]]:
+    """Read flat key=value lines into {key: (value, "<source>:<line>")}.
+
+    Blank lines and '#' comment lines are skipped and a later line for a
+    key wins; each value keeps its location so later errors can name it.
+    """
+    values: dict[str, tuple[str, str]] = {}
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        where = f"{source}:{lineno}"
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{where}: expected key=value, got {line!r}")
+        values[key.strip()] = (val.strip(), where)
+    return values
 
+
+def generation_config(values: dict[str, tuple[str, str]]) -> GenerationConfig:
+    """Apply parse_key_values output to the defaults, then validate once."""
     cfg = GenerationConfig()
-    for key, val in values.items():
-        cfg = apply_config_override(cfg, key, val)
+    for key, (val, where) in values.items():
+        try:
+            apply_config_override(cfg, key, val)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     cfg.validate()
     return cfg
 
@@ -399,6 +421,8 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
     is byte-identical across repeated runs with the same arguments.
     """
     cfg.validate()
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     patches_dir = out / "patches"
     patches_dir.mkdir(parents=True, exist_ok=True)

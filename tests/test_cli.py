@@ -2,11 +2,14 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
+import edfdetect.classifier as classifier
 import edfdetect.cli as cli
 from edfdetect.errors import DegenerateGcvError
+from edfdetect.features import read_features_csv, write_features_csv
 
 
 CONFIG_TEXT = """\
@@ -233,3 +236,142 @@ def test_malformed_feature_field_is_data_error(pipeline, tmp_path, capsys,
     payload = json.loads(err[0].split(" ", 1)[1])
     assert payload["exit_code"] == 3 and payload["error"] == "DataError"
     assert f"{bad}:3:" in payload["message"]
+
+
+def _one_error_line(capsys) -> dict:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ")
+    return json.loads(err[0].split(" ", 1)[1])
+
+
+TINY = ["--set", "m=31", "--set", "count_defect_free=2", "--set", "count_dirt=2",
+        "--set", "count_crater=2"]
+
+
+@pytest.mark.parametrize("setting", [
+    "frequencies=nan", "frequencies=inf", "frequencies=-8", "frequencies=0",
+    "phases=nan", "offset=nan", "amplitude=inf", "noise_sigma=nan",
+    "center_jitter=nan", "crater_radius=nan,nan"])
+def test_bad_generation_value_is_config_error(tmp_path, capsys, setting):
+    ds = tmp_path / "ds"
+    rc = cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY,
+                   "--set", setting])
+    assert rc == 3
+    assert _one_error_line(capsys)["error"] == "ConfigError"
+    assert not ds.exists()
+
+
+def test_negative_generate_seed_is_config_error(tmp_path, capsys):
+    rc = cli.main(["generate", "--seed", "-1", "--out", str(tmp_path / "ds"), *TINY])
+    assert rc == 3
+    assert "seed" in _one_error_line(capsys)["message"]
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--seed", "-1"], None),
+    (["--seed", "3", "--runs", "-1"], None),
+    ([], "seed=-1\n"),
+    ([], "runs=-2\nseed=3\n"),
+])
+def test_bad_evaluate_seed_or_runs_is_config_error(pipeline, tmp_path, capsys,
+                                                   flags, config):
+    _, _, _, feats = pipeline
+    if config is not None:
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(config)
+        flags = [*flags, "--config", str(cfg)]
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--features", str(feats),
+                   "--out", str(tmp_path / "r.json"), *flags])
+    assert rc == 3
+    assert _one_error_line(capsys)["error"] == "ConfigError"
+
+
+def test_set_is_applied_before_validation(tmp_path):
+    config = tmp_path / "cfg"
+    config.write_text(CONFIG_TEXT.replace("m=31", "m=30"))
+    ds = tmp_path / "ds"
+    rc = cli.main(["generate", "--config", str(config), "--seed", "1",
+                   "--out", str(ds), "--set", "m=31"])
+    assert rc == 0
+    with open(ds / "manifest.csv") as fh:
+        assert {r["m"] for r in csv.DictReader(fh)} == {"31"}
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("m=31\njust a line\n", 2),
+    ("# comment\n\nunknown_key=1\n", 3),
+    ("m=31\nm=abc\n", 2),
+])
+def test_generate_config_error_names_file_line(tmp_path, capsys, text, lineno):
+    config = tmp_path / "gen.cfg"
+    config.write_text(text)
+    rc = cli.main(["generate", "--config", str(config), "--seed", "1",
+                   "--out", str(tmp_path / "ds")])
+    assert rc == 3
+    assert f"{config}:{lineno}:" in _one_error_line(capsys)["message"]
+
+
+def test_set_error_names_its_position(tmp_path, capsys):
+    rc = cli.main(["generate", "--seed", "1", "--out", str(tmp_path / "ds"),
+                   "--set", "m=31", "--set", "bogus"])
+    assert rc == 3
+    assert _one_error_line(capsys)["message"].startswith("--set:2:")
+
+
+def test_evaluate_config_error_names_file_line(pipeline, tmp_path, capsys):
+    _, _, _, feats = pipeline
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("# comment\nruns=x\nseed=3\n")
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--features", str(feats),
+                   "--out", str(tmp_path / "r.json"), "--config", str(cfg)])
+    assert rc == 3
+    assert f"{cfg}:2:" in _one_error_line(capsys)["message"]
+
+
+def test_classify_reads_shared_features_file_once(pipeline, tmp_path,
+                                                  monkeypatch, capsys):
+    _, _, _, feats = pipeline
+    copy = tmp_path / "copy.csv"
+    shutil.copyfile(feats, copy)
+    separate = tmp_path / "separate.csv"
+    assert cli.main(["classify", "--reference", str(feats), "--queries", str(copy),
+                     "--out", str(separate), "--leave-one-out"]) == 0
+
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return read_features_csv(path)
+    monkeypatch.setattr(cli.feat, "read_features_csv", counting)
+    monkeypatch.setattr(classifier, "read_features_csv", counting)
+    shared = tmp_path / "shared.csv"
+    assert cli.main(["classify", "--reference", str(feats), "--queries", str(feats),
+                     "--out", str(shared), "--leave-one-out"]) == 0
+    assert len(reads) == 1
+    assert shared.read_bytes() == separate.read_bytes()
+
+    unlabeled = tmp_path / "unlabeled.csv"
+    vectors = read_features_csv(feats)
+    for fv in vectors:
+        fv.label = None
+    write_features_csv(vectors, unlabeled)
+    capsys.readouterr()
+    rc = cli.main(["classify", "--reference", str(unlabeled),
+                   "--queries", str(unlabeled), "--out", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert "no labeled feature vectors" in _one_error_line(capsys)["message"]
+
+
+def test_extract_on_corrupt_pgm_is_data_error(pipeline, tmp_path, capsys):
+    _, _, ds, _ = pipeline
+    copy = tmp_path / "ds"
+    shutil.copytree(ds, copy)
+    pgm = sorted((copy / "patches").glob("*.pgm"))[0]
+    pgm.write_text(pgm.read_text().replace("65535\n", "65535\nx ", 1))
+    capsys.readouterr()
+    rc = cli.main(["extract", "--data", str(copy), "--out", str(tmp_path / "f.csv")])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "DataError" and str(pgm) in payload["message"]

@@ -1,6 +1,7 @@
 """Fringe rendering, defect injection, and dataset generation."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,9 @@ from edfdetect.errors import ConfigError, DataError
 from edfdetect.features import extract_edf_features
 from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
                              PatternSpec, apply_config_override,
-                             generate_dataset, inject_defect, load_dataset,
-                             parse_generation_config, phase_field,
-                             read_patch_csv, read_patch_pgm,
+                             generate_dataset, generation_config,
+                             inject_defect, load_dataset, parse_key_values,
+                             phase_field, read_patch_csv, read_patch_pgm,
                              render_clean_patch, write_patch_csv,
                              write_patch_pgm)
 
@@ -210,8 +211,12 @@ def test_generate_dataset_csv_format(tmp_path):
     assert len(patches) == 14
 
 
+def _parse_config(text):
+    return generation_config(parse_key_values(text.splitlines(), "gen.cfg"))
+
+
 def test_config_parsing():
-    cfg = parse_generation_config(
+    cfg = _parse_config(
         "m=51\nfrequencies=8,16\nphases=pi,3pi/2\ncount_crater=1\n"
         "crater_strength=1.0,2.0\nnoise_sigma=0.02\n# comment\n")
     assert cfg.m == 51
@@ -223,11 +228,11 @@ def test_config_parsing():
 
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
-        parse_generation_config("unknown_key=1\n")
+        _parse_config("unknown_key=1\n")
     with pytest.raises(ConfigError):
-        parse_generation_config("m=not_an_int\n")
+        _parse_config("m=not_an_int\n")
     with pytest.raises(ConfigError):
-        parse_generation_config("just a line\n")
+        _parse_config("just a line\n")
 
 
 def test_config_auto_channel_defaults():
@@ -262,3 +267,19 @@ def test_config_validation_errors():
         small_config(crater_strength=(2.0, 1.0)).validate()
     with pytest.raises(ConfigError):
         small_config(file_format="png").validate()
+
+
+@pytest.mark.parametrize("body", [
+    "2 2\n65535\n0 1 x 3\n",   # non-numeric sample
+    "2 2\n",                    # header without maxval
+    "",                         # header with no sizes
+    "2 2\n0\n0 0 0 0\n",       # maxval 0
+    "2 2\n-5\n0 0 0 0\n",      # negative maxval
+    "2 2\n10\n0 1 2 11\n",     # sample above maxval
+    "2 2\n10\n0 -1 2 3\n",     # negative sample
+])
+def test_malformed_pgm_is_data_error_naming_path(tmp_path, body):
+    path = tmp_path / "bad.pgm"
+    path.write_text("P2\n# range 0.0 1.0\n" + body)
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        read_patch_pgm(path)
