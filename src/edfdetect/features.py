@@ -72,7 +72,6 @@ class FeatureVector:
     frequency: float
     phase: float
     degenerate: bool = False
-    n_degenerate_rows: int = 0
 
     @property
     def dim(self) -> int:
@@ -122,7 +121,7 @@ def extract_edf_features(patch: Patch, q: int | None = None) -> FeatureVector:
 
     The basis dimension defaults to q_for_frequency(patch.frequency), capped
     at the patch side. Rows whose GCV search degenerates are floored at
-    EDF = 2 and counted in n_degenerate_rows.
+    EDF = 2.
     """
     m = patch.side
     if m < 31:
@@ -132,22 +131,19 @@ def extract_edf_features(patch: Patch, q: int | None = None) -> FeatureVector:
         raw = np.full(m, EDF_FLOOR)
         return FeatureVector(tau=np.ones(m), raw_edf=raw, label=patch.label,
                              patch_id=patch.patch_id, frequency=patch.frequency,
-                             phase=patch.phase, degenerate=True,
-                             n_degenerate_rows=m)
+                             phase=patch.phase, degenerate=True)
 
     q_eff = q if q is not None else min(q_for_frequency(patch.frequency), m)
     model = _cached_model(m, q_eff)
     raw = np.empty(m)
-    n_bad = 0
     for r in range(m):
         try:
             raw[r] = select_lambda(model, std.pixels[r]).edf
         except DegenerateGcvError:
             raw[r] = EDF_FLOOR
-            n_bad += 1
     return FeatureVector(tau=raw / raw.max(), raw_edf=raw, label=patch.label,
                          patch_id=patch.patch_id, frequency=patch.frequency,
-                         phase=patch.phase, n_degenerate_rows=n_bad)
+                         phase=patch.phase)
 
 
 def colstd_features(patch: Patch) -> FeatureVector:

@@ -156,8 +156,10 @@ def stratified_split(labels: list[str], train_fraction: float,
         perm = rng.permutation(idx)
         train_idx.append(perm[:k])
         val_idx.append(perm[k:])
-    return (np.sort(np.concatenate(train_idx)).astype(int),
-            np.sort(np.concatenate(val_idx)).astype(int))
+    val = np.sort(np.concatenate(val_idx)).astype(int)
+    if not len(val):
+        raise DataError(f"train_fraction {train_fraction} leaves no validation points")
+    return np.sort(np.concatenate(train_idx)).astype(int), val
 
 
 @dataclass
@@ -293,7 +295,7 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
         try:
             result = evaluate_single_run(features, seed, train_fraction,
                                          present_defects)
-        except Exception as exc:
+        except DataError as exc:
             raise DataError(f"evaluation run {run} (seed {seed}) failed: "
                             f"{exc}") from exc
         for name, value in result.items():

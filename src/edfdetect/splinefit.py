@@ -21,6 +21,13 @@ the penalized fit becomes a diagonal reweighting with d_i = 1/(1 + lam*g_i),
 so a full GCV profile costs O(q) per lambda. The two zero entries of g span
 the affine functions, which the penalty never touches; that makes
 edf = sum(d) land exactly on q at lam = 0 and never fall below 2.
+
+Every row passes through the same three steps: _project checks it once and
+computes w = Q'z (Q the design in spectral coordinates) and the residual
+rss0 outside the spline space; _gcv scores any lambda, on the grid or off
+it, from edf and the spectral rss = rss0 + sum((1 - d)^2 w^2); _fit turns
+the chosen lambda into a PenalizedFit. fit_penalized is _project plus _fit,
+and select_lambda puts the grid search and its refinement in between.
 """
 
 from __future__ import annotations
@@ -32,10 +39,11 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
 
-from .errors import DegenerateGcvError, IllPosedFitError, InvalidBasisError
+from .errors import DataError, DegenerateGcvError, IllPosedFitError, InvalidBasisError
 
 # Selection grid: 7 points per decade over [1e-6, 1e6].
 LAMBDA_GRID = np.geomspace(1e-6, 1e6, 12 * 7 + 1)
+_LOG_GRID = np.log(LAMBDA_GRID)
 
 # m - edf below this is treated as a vanishing GCV denominator.
 _GCV_DENOM_TOL = 1e-8
@@ -155,22 +163,42 @@ def _factorize(design: np.ndarray, penalty: np.ndarray) -> _Factorization:
     )
 
 
-def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit:
-    """Solve argmin ||z - X b||^2 + lam * b' S b and attach EDF and GCV.
+def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Check one row and project it onto the spectral basis.
 
-    Raises IllPosedFitError for a rank-deficient design and
-    DegenerateGcvError when m - edf falls below tolerance.
+    Returns (w, w^2, rss0, rss_floor): the spectral coordinates w = Q'z, their
+    squares, the rss of the part of z outside the spline space, and the rss
+    under which a fit counts as exact. Raises DataError for a row of the
+    wrong shape or with non-finite values.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (model.m,):
-        raise ValueError(f"z must have shape ({model.m},), got {z.shape}")
+        raise DataError(f"row must have shape ({model.m},), got {z.shape}")
     if not np.isfinite(z).all():
-        raise ValueError("z contains non-finite values")
-    if not np.isfinite(lam) or lam < 0.0:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-
+        raise DataError("row contains non-finite values")
     fact = model.factorization()
     w = fact.ortho_design.T @ z
+    resid0 = z - fact.ortho_design @ w
+    return w, w * w, float(resid0 @ resid0), _RSS_FLOOR_REL * float(z @ z)
+
+
+def _gcv(m: int, edf, rss, rss_floor: float):
+    """GCV score m * rss / (m - edf)^2, elementwise; returns (gcv, floored rss).
+
+    rss under rss_floor counts as 0, and a denominator m - edf under
+    _GCV_DENOM_TOL scores inf.
+    """
+    rss = rss * (rss >= rss_floor)
+    denom = m - edf
+    gcv = np.where(denom >= _GCV_DENOM_TOL,
+                   m * rss / np.maximum(denom, _GCV_DENOM_TOL) ** 2, np.inf)
+    return gcv, rss
+
+
+def _fit(model: SplineModel, proj: tuple, lam: float) -> PenalizedFit:
+    """Penalized fit at lam of a row, given its projection from _project."""
+    w, w_sq, rss0, rss_floor = proj
+    fact = model.factorization()
     d = 1.0 / (1.0 + lam * fact.gamma)
     edf = float(d.sum())
     if model.m - edf < _GCV_DENOM_TOL:
@@ -178,58 +206,22 @@ def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit
             f"m - edf = {model.m - edf:.3e} leaves no residual degrees of freedom"
         )
     coef = fact.basis_map @ (d * w)
-    fitted = model.design @ coef
-    resid = z - fitted
-    rss = float(resid @ resid)
-    if rss < _RSS_FLOOR_REL * float(z @ z):
-        rss = 0.0
-    gcv = model.m * rss / (model.m - edf) ** 2
-    return PenalizedFit(coefficients=coef, lam=float(lam), fitted=fitted,
-                        edf=edf, gcv=gcv, rss=rss)
+    gcv, rss = _gcv(model.m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)
+    return PenalizedFit(coefficients=coef, lam=float(lam), fitted=model.design @ coef,
+                        edf=edf, gcv=float(gcv), rss=float(rss))
 
 
-def _gcv_profile(model: SplineModel, z: np.ndarray):
-    """Vectorized GCV over LAMBDA_GRID plus closures for off-grid points.
+def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit:
+    """Solve argmin ||z - X b||^2 + lam * b' S b and attach EDF and GCV.
 
-    Returns (gcv_grid, gcv_at, gcv_slope_at); the slope closure carries the
-    sign of dV/d(log lam), used to pin the off-grid minimizer.
+    Raises DataError for a malformed row or lambda, IllPosedFitError for a
+    rank-deficient design and DegenerateGcvError when m - edf falls below
+    tolerance.
     """
-    fact = model.factorization()
-    w = fact.ortho_design.T @ z
-    resid0 = z - fact.ortho_design @ w
-    rss0 = float(resid0 @ resid0)
-    w_sq = w * w
-    rss_floor = _RSS_FLOOR_REL * float(z @ z)
-
-    edf_grid = fact.grid_edf
-    rss_grid = rss0 + fact.grid_shrink_sq @ w_sq
-    rss_grid[rss_grid < rss_floor] = 0.0
-    denom = model.m - edf_grid
-    gcv_grid = np.where(denom >= _GCV_DENOM_TOL,
-                        model.m * rss_grid / np.maximum(denom, _GCV_DENOM_TOL) ** 2,
-                        np.inf)
-
-    def gcv_at(log_lam: float) -> float:
-        d = 1.0 / (1.0 + math.exp(log_lam) * fact.gamma)
-        edf = d.sum()
-        if model.m - edf < _GCV_DENOM_TOL:
-            return math.inf
-        rss = rss0 + ((1.0 - d) ** 2) @ w_sq
-        if rss < rss_floor:
-            rss = 0.0
-        return model.m * rss / (model.m - edf) ** 2
-
-    def gcv_slope_at(log_lam: float) -> float:
-        # sign of dV/drho up to the positive factor m / (m - edf)^3
-        d = 1.0 / (1.0 + math.exp(log_lam) * fact.gamma)
-        one_minus = 1.0 - d
-        edf = d.sum()
-        rss = rss0 + (one_minus ** 2) @ w_sq
-        rss_slope = 2.0 * (d * one_minus ** 2) @ w_sq
-        edf_slope = -(d * one_minus).sum()
-        return rss_slope * (model.m - edf) + 2.0 * rss * edf_slope
-
-    return gcv_grid, gcv_at, gcv_slope_at
+    proj = _project(model, z)
+    if not np.isfinite(lam) or lam < 0.0:
+        raise DataError(f"lambda must be finite and >= 0, got {lam}")
+    return _fit(model, proj, lam)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -283,33 +275,36 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
     refined candidate only replaces the grid minimizer when its score is
     strictly better; ties resolve toward larger lambda (the smoother fit).
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.m,):
-        raise ValueError(f"z must have shape ({model.m},), got {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("z contains non-finite values")
+    proj = _project(model, z)
+    _, w_sq, rss0, rss_floor = proj
+    fact = model.factorization()
+    m, gamma = model.m, fact.gamma
 
-    gcv_grid, gcv_at, gcv_slope_at = _gcv_profile(model, z)
+    gcv_grid, _ = _gcv(m, fact.grid_edf, rss0 + fact.grid_shrink_sq @ w_sq, rss_floor)
     if not np.isfinite(gcv_grid).any():
         raise DegenerateGcvError("every grid point has a vanishing GCV denominator")
+    last = len(LAMBDA_GRID) - 1
+    best = last - int(np.argmin(gcv_grid[::-1]))  # the last of tied minima
 
-    best = 0
-    for i in range(1, len(LAMBDA_GRID)):
-        if gcv_grid[i] <= gcv_grid[best]:
-            best = i
+    def gcv_at(log_lam: float) -> float:
+        d = 1.0 / (1.0 + math.exp(log_lam) * gamma)
+        return _gcv(m, d.sum(), rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)[0]
 
-    log_grid = np.log(LAMBDA_GRID)
-    lo = log_grid[max(best - 1, 0)]
-    hi = log_grid[min(best + 1, len(LAMBDA_GRID) - 1)]
+    def gcv_slope_at(log_lam: float) -> float:
+        # sign of dV/drho up to the positive factor m / (m - edf)^3
+        d = 1.0 / (1.0 + math.exp(log_lam) * gamma)
+        one_minus = 1.0 - d
+        rss = rss0 + (one_minus ** 2) @ w_sq
+        rss_slope = 2.0 * (d * one_minus ** 2) @ w_sq
+        edf_slope = -(d * one_minus).sum()
+        return rss_slope * (m - d.sum()) + 2.0 * rss * edf_slope
+
+    lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
+    log_ref = _slope_bisect(gcv_slope_at, lo, hi)
+    if log_ref is None:
+        log_ref = _golden_minimize(gcv_at, lo, hi)
+    gcv_ref, lam_ref = gcv_at(log_ref), math.exp(log_ref)
     lam_best = float(LAMBDA_GRID[best])
-    gcv_best = float(gcv_grid[best])
-    if hi > lo:
-        log_ref = _slope_bisect(gcv_slope_at, lo, hi)
-        if log_ref is None:
-            log_ref = _golden_minimize(gcv_at, lo, hi)
-        gcv_ref = gcv_at(log_ref)
-        lam_ref = math.exp(log_ref)
-        if gcv_ref < gcv_best or (gcv_ref == gcv_best and lam_ref > lam_best):
-            lam_best, gcv_best = lam_ref, gcv_ref
-
-    return fit_penalized(model, z, lam_best)
+    if gcv_ref < gcv_grid[best] or (gcv_ref == gcv_grid[best] and lam_ref > lam_best):
+        lam_best = lam_ref
+    return _fit(model, proj, lam_best)

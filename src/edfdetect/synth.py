@@ -222,8 +222,20 @@ def write_patch_csv(patch: Patch, path: str | Path) -> None:
 
 
 def read_patch_csv(path: str | Path) -> np.ndarray:
+    rows: list[list[float]] = []
     with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataError(f"{where}: malformed pixel value ({exc})") from exc
+            if len(row) != len(rows[0]):
+                raise DataError(
+                    f"{where}: expected {len(rows[0])} values, got {len(row)}")
     pixels = np.array(rows)
     if pixels.ndim != 2 or pixels.shape[0] != pixels.shape[1]:
         raise DataError(f"{path}: expected a square matrix, got {pixels.shape}")
@@ -481,20 +493,28 @@ def load_dataset(manifest_path: str | Path, transpose: bool = False) -> list[Pat
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "patch_id" not in reader.fieldnames:
             raise DataError(f"{manifest_path}: not a manifest CSV")
+        missing = [c for c in ("file", "label", "f", "psi")
+                   if c not in reader.fieldnames]
+        if missing:
+            raise DataError(f"{manifest_path}: manifest lacks column(s) {missing}")
         for row in reader:
-            path = base / row["file"]
+            where = f"{manifest_path}:{reader.line_num}"
+            try:
+                path = base / row["file"]
+                frequency, phase = float(row["f"]), float(row["psi"])
+                origin = int(row.get("origin_col") or 0)
+                seed = int(row["seed"]) if row.get("seed") else None
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{where}: malformed manifest row ({exc})") from exc
             if path.suffix == ".pgm":
                 pixels, _, _ = read_patch_pgm(path)
             else:
                 pixels = read_patch_csv(path)
             if transpose:
                 pixels = pixels.T
-            origin = row.get("origin_col") or 0
-            seed = row.get("seed") or None
             patches.append(Patch(
-                pixels=pixels, frequency=float(row["f"]), phase=float(row["psi"]),
+                pixels=pixels, frequency=frequency, phase=phase,
                 label=row["label"] or None, patch_id=row["patch_id"],
-                origin_col=int(origin),
-                seed=int(seed) if seed is not None else None,
+                origin_col=origin, seed=seed,
             ))
     return patches

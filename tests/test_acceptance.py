@@ -53,6 +53,7 @@ def channel_reports(tmp_path_factory):
     return reports
 
 
+@pytest.mark.slow
 def test_criterion_1_binary_synthetic_reproduction(channel_reports):
     all_ok = True
     details = []
@@ -69,6 +70,7 @@ def test_criterion_1_binary_synthetic_reproduction(channel_reports):
     assert all_ok
 
 
+@pytest.mark.slow
 def test_criterion_2_three_class(channel_reports):
     all_ok = True
     details = []

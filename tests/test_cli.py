@@ -375,3 +375,47 @@ def test_extract_on_corrupt_pgm_is_data_error(pipeline, tmp_path, capsys):
     assert rc == 3
     payload = _one_error_line(capsys)
     assert payload["error"] == "DataError" and str(pgm) in payload["message"]
+
+
+def test_extract_on_malformed_csv_patch_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY,
+                     "--set", "format=csv"]) == 0
+    patch = sorted((ds / "patches").glob("*.csv"))[0]
+    lines = patch.read_text().splitlines()
+    lines[1] = "abc," + lines[1].split(",", 1)[1]
+    patch.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["extract", "--data", str(ds), "--out", str(tmp_path / "f.csv")])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "DataError" and f"{patch}:2:" in payload["message"]
+
+
+def test_extract_on_manifest_without_f_is_data_error(pipeline, tmp_path, capsys):
+    _, _, ds, _ = pipeline
+    copy = tmp_path / "ds"
+    shutil.copytree(ds, copy)
+    manifest = copy / "manifest.csv"
+    with open(manifest, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(manifest, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, [k for k in rows[0] if k != "f"],
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    rc = cli.main(["extract", "--data", str(copy), "--out", str(tmp_path / "f.csv")])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "DataError" and str(manifest) in payload["message"]
+
+
+def test_evaluate_with_empty_validation_split_is_data_error(pipeline, tmp_path,
+                                                            capsys):
+    _, _, _, feats = pipeline
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--features", str(feats), "--seed", "1",
+                   "--train-frac", "0.99", "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert "no validation points" in _one_error_line(capsys)["message"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import edfdetect.metrics as metrics
 from edfdetect.classifier import PosteriorVector, build_reference, classify_batch
 from edfdetect.errors import DataError
 from edfdetect.features import FeatureVector
@@ -298,3 +299,18 @@ def test_report_counts_follow_split_rule():
             val_labels = [labels[i] for i in val]
             assert report.n_total == len(val)
             assert report.n_defect == sum(lab != "defect_free" for lab in val_labels)
+
+
+def test_stratified_split_rejects_empty_validation_set():
+    # round(3 * 0.9) = 3 of every class go to training
+    with pytest.raises(DataError, match="no validation points"):
+        stratified_split(["a"] * 3 + ["b"] * 3, 0.9, seed=0)
+
+
+def test_repeated_evaluation_passes_program_errors_through(monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(metrics, "evaluate_single_run", broken)
+    with pytest.raises(ZeroDivisionError):
+        repeated_evaluation(separable_dataset(), seeds=[1], train_fraction=0.7)

@@ -1,12 +1,20 @@
 """Spline model, penalized fit, and GCV selection against dense oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from edfdetect.errors import DegenerateGcvError, IllPosedFitError, InvalidBasisError
-from edfdetect.splinefit import (LAMBDA_GRID, SplineModel, build_spline_model,
+import edfdetect.splinefit as splinefit
+from edfdetect.errors import (DataError, DegenerateGcvError, IllPosedFitError,
+                              InvalidBasisError)
+from edfdetect.features import q_for_frequency, standardize_patch
+from edfdetect.splinefit import (LAMBDA_GRID, SplineModel, _gcv, _golden_minimize,
+                                 _slope_bisect, build_spline_model,
                                  fit_penalized, select_lambda)
+from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
+                             inject_defect, render_clean_patch)
 
 
 def brute_force_penalty(model, n_grid=100_000):
@@ -211,3 +219,128 @@ def test_select_all_grid_points_degenerate_raises():
                             penalty=np.zeros((4, 4)))
     with pytest.raises(DegenerateGcvError):
         select_lambda(saturated, np.array([0.0, 1.0, 0.5, 2.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda model: fit_penalized(model, np.zeros(19), 1.0),
+    lambda model: fit_penalized(model, np.full(20, np.nan), 1.0),
+    lambda model: fit_penalized(model, np.zeros(20), -1.0),
+    lambda model: fit_penalized(model, np.zeros(20), np.inf),
+    lambda model: fit_penalized(model, np.zeros(20), np.nan),
+    lambda model: select_lambda(model, np.zeros((2, 10))),
+    lambda model: select_lambda(model, np.r_[np.zeros(19), np.inf]),
+], ids=["short-row", "nan-row", "negative-lam", "inf-lam", "nan-lam", "2d-row",
+        "inf-row"])
+def test_malformed_row_or_lambda_is_data_error(call):
+    with pytest.raises(DataError):
+        call(build_spline_model(20, 8))
+
+
+def test_gcv_floor_tolerance_and_inf_elementwise():
+    edf = np.array([3.0, 10.0 - 5e-9, 10.0, 4.0])
+    rss = np.array([2.0, 2.0, 2.0, 0.5e-6])
+    gcv, floored = _gcv(10, edf, rss, 1e-6)
+    np.testing.assert_array_equal(gcv, [10 * 2.0 / 7.0 ** 2, np.inf, np.inf, 0.0])
+    np.testing.assert_array_equal(floored, [2.0, 2.0, 2.0, 0.0])
+    for i in range(4):  # scalars score exactly like array elements
+        assert _gcv(10, edf[i], rss[i], 1e-6)[0] == gcv[i]
+
+
+def test_golden_minimize_brackets_the_minimum():
+    assert abs(_golden_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0) - 0.3) < 1e-8
+    # a monotone function drives the bracket onto the lower end
+    assert abs(_golden_minimize(lambda x: x, -2.0, 5.0) + 2.0) < 1e-8
+
+
+def _noise_row(seed=0, m=91):
+    # white noise whose GCV keeps falling up to the last grid point
+    return np.random.default_rng(seed).standard_normal(m)
+
+
+@pytest.mark.parametrize("row", [_noise_row(), 0.3 + 0.05 * np.arange(1.0, 92.0)],
+                         ids=["pure-noise", "affine"])
+def test_grid_edge_lambda_through_golden_fallback(monkeypatch, row):
+    calls = []
+
+    def spy(fun, lo, hi, tol=1e-9):
+        calls.append((lo, hi))
+        return _golden_minimize(fun, lo, hi, tol)
+
+    monkeypatch.setattr(splinefit, "_golden_minimize", spy)
+    fit = select_lambda(build_spline_model(91, 20), row)
+    assert fit.lam == LAMBDA_GRID[-1]
+    assert calls == [(math.log(LAMBDA_GRID[-2]), math.log(LAMBDA_GRID[-1]))]
+
+
+def _oracle_select(model, z):
+    """Grid search and refinement as first written: one GCV profile with its
+    own closures, a Python argmin loop, then a separate closing fit."""
+    z = np.asarray(z, dtype=float)
+    fact = model.factorization()
+    w = fact.ortho_design.T @ z
+    resid0 = z - fact.ortho_design @ w
+    rss0 = float(resid0 @ resid0)
+    w_sq = w * w
+    rss_floor = 1e-16 * float(z @ z)
+
+    rss_grid = rss0 + fact.grid_shrink_sq @ w_sq
+    rss_grid[rss_grid < rss_floor] = 0.0
+    denom = model.m - fact.grid_edf
+    gcv_grid = np.where(denom >= 1e-8,
+                        model.m * rss_grid / np.maximum(denom, 1e-8) ** 2, np.inf)
+
+    def gcv_at(log_lam):
+        d = 1.0 / (1.0 + math.exp(log_lam) * fact.gamma)
+        edf = d.sum()
+        if model.m - edf < 1e-8:
+            return math.inf
+        rss = rss0 + ((1.0 - d) ** 2) @ w_sq
+        if rss < rss_floor:
+            rss = 0.0
+        return model.m * rss / (model.m - edf) ** 2
+
+    def gcv_slope_at(log_lam):
+        d = 1.0 / (1.0 + math.exp(log_lam) * fact.gamma)
+        one_minus = 1.0 - d
+        edf = d.sum()
+        rss = rss0 + (one_minus ** 2) @ w_sq
+        rss_slope = 2.0 * (d * one_minus ** 2) @ w_sq
+        edf_slope = -(d * one_minus).sum()
+        return rss_slope * (model.m - edf) + 2.0 * rss * edf_slope
+
+    best = 0
+    for i in range(1, len(LAMBDA_GRID)):
+        if gcv_grid[i] <= gcv_grid[best]:
+            best = i
+    log_grid = np.log(LAMBDA_GRID)
+    lo = log_grid[max(best - 1, 0)]
+    hi = log_grid[min(best + 1, len(LAMBDA_GRID) - 1)]
+    lam_best, gcv_best = float(LAMBDA_GRID[best]), float(gcv_grid[best])
+    log_ref = _slope_bisect(gcv_slope_at, lo, hi)
+    if log_ref is None:
+        log_ref = _golden_minimize(gcv_at, lo, hi)
+    gcv_ref, lam_ref = gcv_at(log_ref), math.exp(log_ref)
+    if gcv_ref < gcv_best or (gcv_ref == gcv_best and lam_ref > lam_best):
+        lam_best = lam_ref
+    return lam_best, float((1.0 / (1.0 + lam_best * fact.gamma)).sum())
+
+
+def _oracle_rows(f):
+    spec = GenerationConfig().channel_spec(f, np.pi)
+    clean = render_clean_patch(spec, 91, origin_col=20, seed=4)
+    dirt = DefectSpec(DIRT, (45.0, 40.0), radius=9.0, strength=3.0)
+    crater = DefectSpec(CRATER, (50.0, 45.0), radius=13.0, strength=3.0)
+    patches = [clean, inject_defect(clean, spec, dirt),
+               inject_defect(clean, spec, crater)]
+    spike = np.zeros(91)
+    spike[45] = 1.0
+    extra = [0.3 + 0.05 * np.arange(1.0, 92.0), _noise_row(), spike]
+    return [row for p in patches for row in standardize_patch(p).pixels] + extra
+
+
+@pytest.mark.parametrize("f", [8.0, 64.0])
+def test_select_lambda_matches_first_written_oracle(f):
+    model = build_spline_model(91, q_for_frequency(f))
+    for z in _oracle_rows(f):
+        fit = select_lambda(model, z)
+        assert (fit.lam, fit.edf) == _oracle_select(model, z)

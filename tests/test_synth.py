@@ -283,3 +283,48 @@ def test_malformed_pgm_is_data_error_naming_path(tmp_path, body):
     path.write_text("P2\n# range 0.0 1.0\n" + body)
     with pytest.raises(DataError, match=re.escape(str(path))):
         read_patch_pgm(path)
+
+
+@pytest.mark.parametrize("edit, lineno", [
+    (lambda lines: lines.__setitem__(2, "abc," + lines[2].split(",", 1)[1]), 3),
+    (lambda lines: lines.__setitem__(4, lines[4].rsplit(",", 1)[0]), 5),
+], ids=["non-numeric", "ragged"])
+def test_malformed_patch_csv_is_data_error_naming_line(tmp_path, edit, lineno):
+    patch = render_clean_patch(PatternSpec(pattern_width=364), 31)
+    path = tmp_path / "p.csv"
+    write_patch_csv(patch, path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:{lineno}:")):
+        read_patch_csv(path)
+
+
+def _manifest_rows(tmp_path):
+    manifest = generate_dataset(small_config(count_defect_free=2, count_dirt=2,
+                                             count_crater=0),
+                                seed=5, out_dir=tmp_path / "ds")
+    return manifest, manifest.read_text().splitlines()
+
+
+@pytest.mark.parametrize("column", ["file", "label", "f", "psi"])
+def test_manifest_missing_column_is_data_error(tmp_path, column):
+    manifest, lines = _manifest_rows(tmp_path)
+    drop = lines[0].split(",").index(column)
+    manifest.write_text("".join(
+        ",".join(v for i, v in enumerate(line.split(",")) if i != drop) + "\n"
+        for line in lines))
+    with pytest.raises(DataError, match=re.escape(f"{manifest}:") + ".*" + column):
+        load_dataset(manifest)
+
+
+@pytest.mark.parametrize("column", ["f", "psi", "origin_col", "seed"])
+def test_manifest_non_numeric_field_is_data_error_naming_line(tmp_path, column):
+    manifest, lines = _manifest_rows(tmp_path)
+    pos = lines[0].split(",").index(column)
+    row = lines[2].split(",")
+    row[pos] = "x1"
+    lines[2] = ",".join(row)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{manifest}:3:")):
+        load_dataset(manifest)
