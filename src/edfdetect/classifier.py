@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .errors import DataError, DimensionMismatchError, SingleClassError
 from .features import FeatureVector, read_features_csv
@@ -102,6 +100,8 @@ def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
     A reference point whose patch id equals a query's nonempty exclude id
     is left out of that query's scan (ids compared as integer codes).
     """
+    from scipy.spatial.distance import cdist
+
     if queries.ndim != 2 or queries.shape[1] != ref.dim:
         raise DimensionMismatchError(
             f"queries must have shape (n, {ref.dim}), got {queries.shape}")
@@ -139,6 +139,8 @@ def _posteriors(dist: np.ndarray, dim: int):
     A row with one or more zero distances puts mass 1 uniformly on those
     classes; every other row is normalized D^-m in log space.
     """
+    from scipy.special import logsumexp
+
     with np.errstate(divide="ignore", invalid="ignore"):
         log_d = np.log(dist)
         ell = -dim * log_d

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +71,8 @@ def cmd_extract(args) -> int:
         raise DataError(f"{manifest}: empty dataset")
     jobs = [(p, args.feature, args.q) for p in patches]
     if args.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             vectors = list(pool.map(_extract_one, jobs, chunksize=8))
     else:

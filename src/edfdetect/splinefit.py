@@ -5,10 +5,12 @@ One row of pixel values z (observed at sites 1..m) is fitted by minimizing
     ||z - X b||^2 + lam * b' S b
 
 where X holds cubic B-spline basis functions evaluated at the sites and S
-is the exact Gram matrix of their second derivatives. The effective degrees
-of freedom (EDF) of the fit, the trace of the influence matrix
-X (X'X + lam S)^-1 X', is what downstream feature extraction consumes:
-wigglier rows need more degrees of freedom.
+is the exact Gram matrix of their second derivatives. The basis values and
+second derivatives come from the de Boor recursion, vectorized over the
+sites in numpy (_basis_values); scipy.linalg is loaded only when a model is
+first factorized. The effective degrees of freedom (EDF) of the fit, the
+trace of the influence matrix X (X'X + lam S)^-1 X', is what downstream
+feature extraction consumes: wigglier rows need more degrees of freedom.
 
 The smoothing parameter is selected by minimizing the GCV score
 m * rss / (m - edf)^2 over a geometric grid, then refining between the grid
@@ -22,11 +24,12 @@ so a full GCV profile costs O(q) per lambda. The two zero entries of g span
 the affine functions, which the penalty never touches; that makes
 edf = sum(d) land exactly on q at lam = 0 and never fall below 2.
 
-Every row passes through the same three steps: _project checks it once and
-computes w = Q'z (Q the design in spectral coordinates) and the residual
-rss0 outside the spline space; _gcv scores any lambda, on the grid or off
-it, from edf and the spectral rss = rss0 + sum((1 - d)^2 w^2); _fit turns
-the chosen lambda into a PenalizedFit. fit_penalized is _project plus _fit,
+Every row passes through the same three steps: _project checks it once,
+scales it by a power of two and computes w = Q'z (Q the design in spectral
+coordinates) and the residual rss0 outside the spline space; _gcv scores
+any lambda, on the grid or off it, from edf and the spectral
+rss = rss0 + sum((1 - d)^2 w^2); _fit undoes the scaling and turns the
+chosen lambda into a PenalizedFit. fit_penalized is _project plus _fit,
 and select_lambda puts the grid search and its refinement in between.
 """
 
@@ -36,8 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
 
 from .errors import DataError, DegenerateGcvError, IllPosedFitError, InvalidBasisError
 
@@ -118,23 +119,54 @@ def build_spline_model(m: int, q: int) -> SplineModel:
     breaks = np.linspace(1.0, float(m), q - 2)
     knots = np.concatenate([[1.0] * 3, breaks, [float(m)] * 3])
 
-    sites = np.arange(1, m + 1, dtype=float)
-    design = BSpline.design_matrix(sites, knots, 3).toarray()
+    design = _basis_values(knots, np.arange(1, m + 1, dtype=float), 0)
 
     # All q second derivatives at the Gauss nodes of every span.
-    basis = BSpline(knots, np.eye(q), 3)
     half = np.diff(breaks) / 2.0
     mid = (breaks[:-1] + breaks[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * _GAUSS2_NODES).ravel()
     weights = np.repeat(half, 2)
-    d2 = basis(nodes, nu=2)
+    d2 = _basis_values(knots, nodes, 2)
     raw = (d2 * weights[:, None]).T @ d2
     penalty = (raw + raw.T) / 2.0
 
     return SplineModel(q=q, m=m, knots=knots, design=design, penalty=penalty)
 
 
+def _basis_values(knots: np.ndarray, x: np.ndarray, nu: int) -> np.ndarray:
+    """(len(x), q) values of the nu-th derivative of all q cubic B-splines.
+
+    The de Boor recursion, run for every site at once: 3 - nu value steps,
+    then nu derivative steps, over the 4 splines that are nonzero on the
+    site's knot span (every span of build_spline_model's knots has positive
+    width). A site on the right end knot belongs to the last span. The steps
+    are the ones scipy.interpolate.BSpline takes, in its order, so the
+    values are the same to the bit.
+    """
+    q = len(knots) - 4
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, q - 1)
+    h = np.ones((len(x), 1))
+    for j in range(1, 4):
+        n = np.arange(1, j + 1)
+        right, left = knots[span[:, None] + n], knots[span[:, None] + n - j]
+        new = np.zeros((len(x), j + 1))
+        if j <= 3 - nu:
+            w = h / (right - left)
+            new[:, 1:] = w * (x[:, None] - left)
+            new[:, :-1] += w * (right - x[:, None])
+        else:
+            w = j * h / (right - left)
+            new[:, 1:] = w
+            new[:, :-1] -= w
+        h = new
+    out = np.zeros((len(x), q))
+    out[np.arange(len(x))[:, None], span[:, None] - 3 + np.arange(4)] = h
+    return out
+
+
 def _factorize(design: np.ndarray, penalty: np.ndarray) -> _Factorization:
+    from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
+
     xtx = design.T @ design
     xtx = (xtx + xtx.T) / 2.0
     try:
@@ -163,23 +195,27 @@ def _factorize(design: np.ndarray, penalty: np.ndarray) -> _Factorization:
     )
 
 
-def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """Check one row and project it onto the spectral basis.
 
-    Returns (w, w^2, rss0, rss_floor): the spectral coordinates w = Q'z, their
-    squares, the rss of the part of z outside the spline space, and the rss
-    under which a fit counts as exact. Raises DataError for a row of the
-    wrong shape or with non-finite values.
+    The row is first scaled by 2^-k, with k the binary exponent of max|z|, so
+    that w^2 cannot overflow; the scaling is exact and _fit undoes it.
+    Returns (w, w^2, rss0, rss_floor, k) of the scaled row: the spectral
+    coordinates w = Q'z, their squares, the rss of the part of z outside the
+    spline space, and the rss under which a fit counts as exact. Raises
+    DataError for a row of the wrong shape or with non-finite values.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (model.m,):
         raise DataError(f"row must have shape ({model.m},), got {z.shape}")
     if not np.isfinite(z).all():
         raise DataError("row contains non-finite values")
+    k = math.frexp(float(np.abs(z).max()))[1]
+    z = np.ldexp(z, -k)
     fact = model.factorization()
     w = fact.ortho_design.T @ z
     resid0 = z - fact.ortho_design @ w
-    return w, w * w, float(resid0 @ resid0), _RSS_FLOOR_REL * float(z @ z)
+    return w, w * w, float(resid0 @ resid0), _RSS_FLOOR_REL * float(z @ z), k
 
 
 def _gcv(m: int, edf, rss, rss_floor: float):
@@ -197,7 +233,7 @@ def _gcv(m: int, edf, rss, rss_floor: float):
 
 def _fit(model: SplineModel, proj: tuple, lam: float) -> PenalizedFit:
     """Penalized fit at lam of a row, given its projection from _project."""
-    w, w_sq, rss0, rss_floor = proj
+    w, w_sq, rss0, rss_floor, k = proj
     fact = model.factorization()
     d = 1.0 / (1.0 + lam * fact.gamma)
     edf = float(d.sum())
@@ -205,8 +241,10 @@ def _fit(model: SplineModel, proj: tuple, lam: float) -> PenalizedFit:
         raise DegenerateGcvError(
             f"m - edf = {model.m - edf:.3e} leaves no residual degrees of freedom"
         )
-    coef = fact.basis_map @ (d * w)
     gcv, rss = _gcv(model.m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)
+    with np.errstate(over="ignore"):  # the rss of a row near the float range is inf
+        coef = np.ldexp(fact.basis_map @ (d * w), k)
+        gcv, rss = np.ldexp(gcv, 2 * k), np.ldexp(rss, 2 * k)
     return PenalizedFit(coefficients=coef, lam=float(lam), fitted=model.design @ coef,
                         edf=edf, gcv=float(gcv), rss=float(rss))
 
@@ -276,7 +314,7 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
     strictly better; ties resolve toward larger lambda (the smoother fit).
     """
     proj = _project(model, z)
-    _, w_sq, rss0, rss_floor = proj
+    _, w_sq, rss0, rss_floor, _ = proj
     fact = model.factorization()
     m, gamma = model.m, fact.gamma
 

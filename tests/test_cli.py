@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +423,30 @@ def test_evaluate_with_empty_validation_split_is_data_error(pipeline, tmp_path,
                    "--train-frac", "0.99", "--out", str(tmp_path / "r.json")])
     assert rc == 3
     assert "no validation points" in _one_error_line(capsys)["message"]
+
+
+_FOOTPRINT = """\
+import sys
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+import edfdetect.cli as cli
+assert scipy_modules() == [], scipy_modules()
+root = sys.argv[1]
+assert cli.main(["generate", "--seed", "1", "--out", root + "/ds", "--set", "m=31",
+                 "--set", "count_defect_free=2", "--set", "count_dirt=2",
+                 "--set", "count_crater=2"]) == 0
+assert cli.main(["extract", "--data", root + "/ds", "--out", root + "/f.csv",
+                 "--feature", "colstd"]) == 0
+assert scipy_modules() == [], scipy_modules()
+from edfdetect.splinefit import build_spline_model
+build_spline_model(91, 20).factorization()
+assert "scipy.linalg" in sys.modules and "scipy.interpolate" not in sys.modules
+"""
+
+
+def test_commands_import_scipy_only_where_they_use_it(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

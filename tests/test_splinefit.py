@@ -10,7 +10,8 @@ import edfdetect.splinefit as splinefit
 from edfdetect.errors import (DataError, DegenerateGcvError, IllPosedFitError,
                               InvalidBasisError)
 from edfdetect.features import q_for_frequency, standardize_patch
-from edfdetect.splinefit import (LAMBDA_GRID, SplineModel, _gcv, _golden_minimize,
+from edfdetect.splinefit import (_GAUSS2_NODES, LAMBDA_GRID, SplineModel,
+                                 _basis_values, _gcv, _golden_minimize,
                                  _slope_bisect, build_spline_model,
                                  fit_penalized, select_lambda)
 from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
@@ -46,6 +47,26 @@ def test_model_shapes_and_invariants():
 
     sv = np.linalg.svd(model.design, compute_uv=False)
     assert sv.min() > 1e-10 * sv.max()
+
+
+def _bit_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("m, q", [(m, q) for m in (31, 45, 91, 181)
+                                  for q in sorted({4, 20, 30, 40, m}) if q <= m])
+def test_numpy_basis_matches_scipy_bspline_to_the_bit(m, q):
+    model = build_spline_model(m, q)
+    sites = np.arange(1, m + 1, dtype=float)  # the last site is the right end knot
+    assert sites[-1] == model.knots[-1]
+    assert _bit_equal(_basis_values(model.knots, sites, 0),
+                      BSpline.design_matrix(sites, model.knots, 3).toarray())
+
+    breaks = model.knots[3:-3]
+    half = np.diff(breaks) / 2.0
+    nodes = ((breaks[:-1] + half)[:, None] + half[:, None] * _GAUSS2_NODES).ravel()
+    assert _bit_equal(_basis_values(model.knots, nodes, 2),
+                      BSpline(model.knots, np.eye(q), 3)(nodes, nu=2))
 
 
 def test_single_cubic_space_has_rank_two_penalty():
@@ -270,6 +291,19 @@ def test_grid_edge_lambda_through_golden_fallback(monkeypatch, row):
     fit = select_lambda(build_spline_model(91, 20), row)
     assert fit.lam == LAMBDA_GRID[-1]
     assert calls == [(math.log(LAMBDA_GRID[-2]), math.log(LAMBDA_GRID[-1]))]
+
+
+def test_select_lambda_is_scale_free_on_huge_rows():
+    # w^2 of the 1e160 row would overflow without the power-of-two scaling
+    model = build_spline_model(91, 20)
+    z = _noise_row(5) + np.sin(np.arange(91) / 7.0)
+    plain = select_lambda(model, z)
+    huge = select_lambda(model, z * 1e160)
+    assert (huge.lam, huge.edf) == (plain.lam, plain.edf)
+    exact = select_lambda(model, z * 2.0 ** 530)
+    assert (exact.lam, exact.edf) == (plain.lam, plain.edf)
+    np.testing.assert_array_equal(exact.coefficients, plain.coefficients * 2.0 ** 530)
+    assert exact.rss == math.inf and huge.rss == math.inf
 
 
 def _oracle_select(model, z):
