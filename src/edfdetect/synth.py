@@ -21,6 +21,7 @@ from the master seed and the patch index.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,11 +122,16 @@ def phase_field(defect: DefectSpec, m: int) -> np.ndarray:
     return defect.strength * bump
 
 
-def _render(spec: PatternSpec, m: int, origin_col: int, phi: np.ndarray,
+def _render(spec: PatternSpec, m: int, origin_col: int, phi: np.ndarray | None,
             seed: int | None) -> np.ndarray:
+    """Pattern plus noise on the m x m grid. phi None renders the clean pattern
+    as one repeated row, bit-identical to phi = 0 since theta + 0.0 is theta."""
     cols = origin_col + np.arange(m, dtype=float)
     theta = 2.0 * np.pi * spec.frequency * cols / spec.pattern_width + spec.phase
-    pixels = spec.offset + spec.amplitude * np.sin(theta[None, :] + phi)
+    if phi is None:
+        pixels = np.tile(spec.offset + spec.amplitude * np.sin(theta), (m, 1))
+    else:
+        pixels = spec.offset + spec.amplitude * np.sin(theta[None, :] + phi)
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         pixels = pixels + spec.noise_sigma * rng.standard_normal((m, m))
@@ -140,7 +146,7 @@ def render_clean_patch(spec: PatternSpec, m: int, origin_col: int = 0,
         raise DataError(
             f"patch [{origin_col}, {origin_col + m}) exceeds pattern width "
             f"{spec.pattern_width}")
-    pixels = _render(spec, m, origin_col, np.zeros((m, m)), seed)
+    pixels = _render(spec, m, origin_col, None, seed)
     return Patch(pixels=pixels, frequency=spec.frequency, phase=spec.phase,
                  label=DEFECT_FREE, patch_id=patch_id, origin_col=origin_col,
                  seed=seed)
@@ -149,8 +155,8 @@ def render_clean_patch(spec: PatternSpec, m: int, origin_col: int = 0,
 def inject_defect(patch: Patch, spec: PatternSpec, defect: DefectSpec) -> Patch:
     """Re-render the patch with the defect's phase perturbation applied.
 
-    Uses the origin column and noise seed recorded on the patch, so a zero
-    strength defect reproduces the clean patch bit for bit.
+    Reads the side, id, origin column and noise seed of the patch, not its
+    pixels; a zero strength defect reproduces the clean patch bit for bit.
     """
     spec.validate()
     m = patch.side
@@ -163,6 +169,14 @@ def inject_defect(patch: Patch, spec: PatternSpec, defect: DefectSpec) -> Patch:
 
 # ---------------------------------------------------------------------------
 # Patch files: plain-text PGM (16 bit) or raw CSV matrices.
+#
+# The PGM writer formats a patch with one table gather, not one str() per
+# sample. Entry v of the table is the text of v (0..65535) as five
+# right-aligned digits and a space, padded to 8 bytes read as one uint64; its
+# keep-mask drops the leading zeros and the padding. Gathering both at the
+# grey levels, turning each line's last space into a newline and keeping the
+# masked bytes gives " ".join(map(str, row)) per line. The table is built on
+# the first write, so commands that write no PGM never pay for it.
 
 def _pgm_range(spec: PatternSpec) -> tuple[float, float]:
     lo = spec.offset - spec.amplitude - 4 * spec.noise_sigma
@@ -170,15 +184,38 @@ def _pgm_range(spec: PatternSpec) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.cache
+def _decimal_table() -> tuple[np.ndarray, np.ndarray]:
+    """(text, keep) per grey level 0..65535, each 8 bytes read as one uint64."""
+    values = np.arange(65536)
+    text = np.zeros((65536, 8), dtype=np.uint8)
+    text[:, :5] = values[:, None] // 10 ** np.arange(4, -1, -1) % 10 + ord("0")
+    text[:, 5] = ord(" ")
+    width = 1 + sum(values >= 10**k for k in range(1, 5))
+    keep = np.zeros((65536, 8), dtype=bool)
+    keep[:, :5] = np.arange(5) >= 5 - width[:, None]
+    keep[:, 5] = True
+    tables = text.view(np.uint64)[:, 0], keep.view(np.uint64)[:, 0]
+    for table in tables:
+        table.setflags(write=False)     # shared by every later write
+    return tables
+
+
 def write_patch_pgm(patch: Patch, path: str | Path, lo: float, hi: float) -> None:
     """Write a P2 PGM, mapping [lo, hi] linearly onto [0, 65535]."""
     grey = np.rint((patch.pixels - lo) / (hi - lo) * 65535.0)
-    grey = np.clip(grey, 0, 65535).astype(np.int64)
+    if np.isnan(grey).any():
+        raise DataError(f"{path}: pixels do not map onto 0..65535 with range "
+                        f"{lo!r} {hi!r}")
+    grey = np.clip(grey, 0, 65535).astype(np.intp)
+    text_table, keep_table = _decimal_table()
+    text = text_table[grey].view(np.uint8).reshape(*grey.shape, 8)
+    text[:, -1, 5] = ord("\n")
+    body = text[keep_table[grey].view(bool).reshape(text.shape)]
     m = patch.side
-    with open(path, "w") as fh:
-        fh.write(f"P2\n# range {lo!r} {hi!r}\n{m} {m}\n65535\n")
-        fh.write("\n".join(" ".join(map(str, row)) for row in grey))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P2\n# range {lo!r} {hi!r}\n{m} {m}\n65535\n".encode())
+        fh.write(body.tobytes())
 
 
 def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
@@ -332,6 +369,16 @@ class GenerationConfig:
                 raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf")
         if self.file_format not in ("pgm", "csv"):
             raise ConfigError(f"file format must be pgm or csv, got {self.file_format}")
+        for f in self.frequencies:
+            for psi in self.phases:
+                spec = self.channel_spec(f, psi)
+                spec.validate()
+                lo, hi = _pgm_range(spec)
+                if not 0 < hi - lo < math.inf:
+                    raise ConfigError(
+                        f"offset {spec.offset!r}, amplitude {spec.amplitude!r} and "
+                        f"noise_sigma {spec.noise_sigma!r} give the PGM range "
+                        f"{lo!r} {hi!r} at f={f!r}; need finite lo < hi")
 
 
 _PHASE_TOKENS = {"0": 0.0, "pi/2": math.pi / 2, "pi": math.pi,
@@ -452,14 +499,18 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
                     noise_seed, rng = _patch_seed_and_rng(seed, index)
                     origin = int(rng.integers(0, spec.pattern_width - cfg.m + 1))
                     patch_id = f"p{index:06d}"
-                    clean = render_clean_patch(spec, cfg.m, origin,
-                                               seed=noise_seed, patch_id=patch_id)
                     if label == DEFECT_FREE:
-                        patch = clean
                         defect = None
+                        patch = render_clean_patch(spec, cfg.m, origin, seed=noise_seed,
+                                                   patch_id=patch_id)
                     else:
                         defect = _sample_defect(label, cfg, f, rng)
-                        patch = inject_defect(clean, spec, defect)
+                        # inject_defect reads no pixels: the stand-in spares
+                        # rendering a clean patch only to drop it
+                        recipe = Patch(pixels=np.broadcast_to(np.nan, (cfg.m, cfg.m)),
+                                       frequency=f, phase=psi, patch_id=patch_id,
+                                       origin_col=origin, seed=noise_seed)
+                        patch = inject_defect(recipe, spec, defect)
                     ext = "pgm" if cfg.file_format == "pgm" else "csv"
                     fname = f"patches/{patch_id}.{ext}"
                     if cfg.file_format == "pgm":

@@ -255,7 +255,8 @@ TINY = ["--set", "m=31", "--set", "count_defect_free=2", "--set", "count_dirt=2"
 @pytest.mark.parametrize("setting", [
     "frequencies=nan", "frequencies=inf", "frequencies=-8", "frequencies=0",
     "phases=nan", "offset=nan", "amplitude=inf", "noise_sigma=nan",
-    "center_jitter=nan", "crater_radius=nan,nan"])
+    "center_jitter=nan", "crater_radius=nan,nan", "amplitude=1e308",
+    "offset=1e308", "amplitude=0", "noise_sigma=-1"])
 def test_bad_generation_value_is_config_error(tmp_path, capsys, setting):
     ds = tmp_path / "ds"
     rc = cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY,
@@ -444,9 +445,32 @@ assert "scipy.linalg" in sys.modules and "scipy.interpolate" not in sys.modules
 """
 
 
-def test_commands_import_scipy_only_where_they_use_it(tmp_path):
+def _run_child(script: str, *args) -> None:
+    """Run script in a fresh interpreter that imports this edfdetect."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_import_scipy_only_where_they_use_it(tmp_path):
+    _run_child(_FOOTPRINT, tmp_path)
+
+
+_NO_PGM_TABLE = """\
+import sys
+import edfdetect.cli as cli
+from edfdetect import synth
+assert cli.main(["extract", "--data", sys.argv[1], "--out", sys.argv[2],
+                 "--feature", "colstd"]) == 0
+assert synth._decimal_table.cache_info().currsize == 0
+patch = synth.load_dataset(sys.argv[1] + "/manifest.csv")[0]
+synth.write_patch_pgm(patch, sys.argv[2] + ".pgm", 0.0, 1.0)
+assert synth._decimal_table.cache_info().currsize == 1
+"""
+
+
+def test_pgm_writer_table_is_built_by_the_first_write_only(pipeline, tmp_path):
+    _, _, ds, _ = pipeline
+    _run_child(_NO_PGM_TABLE, ds, tmp_path / "f.csv")

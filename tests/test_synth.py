@@ -1,5 +1,6 @@
 """Fringe rendering, defect injection, and dataset generation."""
 
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 from edfdetect.errors import ConfigError, DataError
 from edfdetect.features import extract_edf_features
 from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
-                             PatternSpec, apply_config_override,
+                             PatternSpec, _pgm_range, apply_config_override,
                              generate_dataset, generation_config,
                              inject_defect, load_dataset, parse_key_values,
                              phase_field, read_patch_csv, read_patch_pgm,
@@ -158,6 +159,51 @@ def test_pgm_round_trip(tmp_path):
     assert np.abs(pixels - patch.pixels).max() <= (hi - lo) / 65535
 
 
+def _first_written_pgm(patch, path, lo, hi):
+    """The first P2 writer, one str() per sample: the oracle for the table writer."""
+    grey = np.rint((patch.pixels - lo) / (hi - lo) * 65535.0)
+    grey = np.clip(grey, 0, 65535).astype(np.int64)
+    m = patch.side
+    with open(path, "w") as fh:
+        fh.write(f"P2\n# range {lo!r} {hi!r}\n{m} {m}\n65535\n")
+        fh.write("\n".join(" ".join(map(str, row)) for row in grey))
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("case", ["rendered", "clipped", "digit-widths"])
+@pytest.mark.parametrize("m", [31, 91])
+def test_pgm_writer_matches_first_written_oracle(tmp_path, m, case):
+    spec = PatternSpec(frequency=8.0, pattern_width=364, noise_sigma=0.05)
+    patch = render_clean_patch(spec, m, origin_col=7, seed=m)
+    lo, hi = _pgm_range(spec)
+    if case == "clipped":
+        lo, hi = 0.25, 0.75          # the sinusoid runs past both ends
+    elif case == "digit-widths":
+        levels = np.geomspace(1.0, 65535.0, m * m).reshape(m, m)
+        patch = replace(patch, pixels=lo + levels / 65535.0 * (hi - lo))
+    new, old = tmp_path / "new.pgm", tmp_path / "old.pgm"
+    write_patch_pgm(patch, new, lo, hi)
+    _first_written_pgm(patch, old, lo, hi)
+    assert new.read_bytes() == old.read_bytes()
+    samples = old.read_text().split()[8:]
+    assert len(samples) == m * m
+    if case == "clipped":
+        assert {"0", "65535"} <= set(samples)
+    elif case == "digit-widths":
+        assert {len(s) for s in samples} == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_pgm_writer_rejects_pixels_without_grey_level(tmp_path):
+    patch = render_clean_patch(PatternSpec(pattern_width=364), 31)
+    path = tmp_path / "p.pgm"
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        write_patch_pgm(patch, path, -math.inf, math.inf)
+    bad = replace(patch, pixels=np.where(patch.pixels > 0.9, np.nan, patch.pixels))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        write_patch_pgm(bad, path, 0.0, 1.0)
+
+
 def test_patch_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     patch = render_clean_patch(PatternSpec(pattern_width=364, noise_sigma=0.0),
@@ -195,6 +241,24 @@ def test_generate_dataset_byte_identical(tmp_path):
     for child in sorted((tmp_path / "a" / "patches").iterdir()):
         twin = tmp_path / "b" / "patches" / child.name
         assert child.read_bytes() == twin.read_bytes()
+
+
+def test_generate_dataset_matches_pinned_digest(tmp_path):
+    # sha256 of the manifest, then each patch file's name and bytes in name
+    # order, taken with the str()-per-sample writer (numpy 2.4, x86-64). Any
+    # change to rendering, seeding or the PGM text changes it; so does a
+    # numpy whose sin rounds differently.
+    cfg = small_config(count_defect_free=4, count_dirt=3, count_crater=2,
+                       phases=(0.0, math.pi))
+    manifest = generate_dataset(cfg, seed=2024, out_dir=tmp_path / "ds")
+    digest = hashlib.sha256(manifest.read_bytes())
+    paths = sorted((tmp_path / "ds" / "patches").iterdir())
+    for path in paths:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert len(paths) == 18
+    assert digest.hexdigest() == (
+        "ff993d2b9617446a553541e4c0a235b81efc09a31fa01b7053dc37b36c2ee407")
 
 
 def test_generate_dataset_zero_count_class_absent(tmp_path):
@@ -277,6 +341,8 @@ def test_config_validation_errors():
     "2 2\n-5\n0 0 0 0\n",      # negative maxval
     "2 2\n10\n0 1 2 11\n",     # sample above maxval
     "2 2\n10\n0 -1 2 3\n",     # negative sample
+    "2 2\n65535\n0 1 3.5 3\n",  # float sample
+    "2 2\n65535\n0 1 2 3 abc\n",  # trailing garbage after the last sample
 ])
 def test_malformed_pgm_is_data_error_naming_path(tmp_path, body):
     path = tmp_path / "bad.pgm"
