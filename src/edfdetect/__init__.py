@@ -8,13 +8,12 @@ probability-based error metrics over repeated stratified splits (metrics).
 """
 
 from .classifier import (LabeledFeatureSet, PosteriorVector, build_reference,
-                         classify_batch, min_class_distance, posterior)
+                         classify_batch)
 from .features import (FeatureVector, Patch, colstd_features,
                        extract_edf_features, q_for_frequency,
                        read_features_csv, standardize_patch,
                        write_features_csv)
-from .metrics import (BinaryPosterior, EvaluationReport, average_entropy,
-                      hard_metrics, merge_defect_classes, one_against_all,
+from .metrics import (EvaluationReport, average_entropy, hard_metrics,
                       probability_metrics, repeated_evaluation,
                       stratified_split)
 from .splinefit import (PenalizedFit, SplineModel, build_spline_model,
@@ -26,15 +25,13 @@ from .synth import (DefectSpec, GenerationConfig, PatternSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryPosterior", "DefectSpec", "EvaluationReport", "FeatureVector",
-    "GenerationConfig", "LabeledFeatureSet", "Patch", "PatternSpec",
-    "PenalizedFit", "PosteriorVector", "SplineModel", "average_entropy",
-    "build_reference", "build_spline_model", "classify_batch",
-    "colstd_features", "extract_edf_features", "fit_penalized",
-    "generate_dataset", "hard_metrics", "inject_defect", "load_dataset",
-    "merge_defect_classes", "min_class_distance", "one_against_all",
-    "posterior", "probability_metrics", "q_for_frequency",
-    "read_features_csv", "render_clean_patch", "repeated_evaluation",
-    "select_lambda", "standardize_patch", "stratified_split",
-    "write_features_csv",
+    "DefectSpec", "EvaluationReport", "FeatureVector", "GenerationConfig",
+    "LabeledFeatureSet", "Patch", "PatternSpec", "PenalizedFit",
+    "PosteriorVector", "SplineModel", "average_entropy", "build_reference",
+    "build_spline_model", "classify_batch", "colstd_features",
+    "extract_edf_features", "fit_penalized", "generate_dataset",
+    "hard_metrics", "inject_defect", "load_dataset", "probability_metrics",
+    "q_for_frequency", "read_features_csv", "render_clean_patch",
+    "repeated_evaluation", "select_lambda", "standardize_patch",
+    "stratified_split", "write_features_csv",
 ]

@@ -38,10 +38,6 @@ class LabeledFeatureSet:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def per_class_counts(self) -> dict[str, int]:
-        return {c: len(idx) for c, idx in self._by_class.items()}
-
     def class_rows(self, label: str) -> np.ndarray:
         return self._by_class[label]
 
@@ -102,9 +98,6 @@ def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
     """
     from scipy.spatial.distance import cdist
 
-    if queries.ndim != 2 or queries.shape[1] != ref.dim:
-        raise DimensionMismatchError(
-            f"queries must have shape (n, {ref.dim}), got {queries.shape}")
     full = cdist(queries, ref.vectors)
     if exclude_ids is not None:
         codes = {pid: k for k, pid in enumerate(ref.patch_ids)}
@@ -116,15 +109,6 @@ def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
     for j, c in enumerate(ref.classes):
         out[:, j] = full[:, ref.class_rows(c)].min(axis=1)
     return out
-
-
-def min_class_distance(ref: LabeledFeatureSet, query: np.ndarray) -> np.ndarray:
-    """Minimum Euclidean distance from the query to each class, in class order."""
-    query = np.asarray(query, dtype=float)
-    if query.shape != (ref.dim,):
-        raise DimensionMismatchError(
-            f"query must have shape ({ref.dim},), got {query.shape}")
-    return _min_distances(ref, query[None, :])[0]
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -158,48 +142,31 @@ def _posteriors(dist: np.ndarray, dim: int):
     return p, log_p, log_d, _entropy_rows(p)
 
 
-def posterior(ref: LabeledFeatureSet, query: np.ndarray,
-              patch_id: str = "", true_label: str | None = None) -> PosteriorVector:
-    """Posterior class probabilities for one query vector."""
-    post = classify_batch(ref, np.asarray(query, dtype=float)[None, :])[0]
-    post.patch_id, post.true_label = patch_id, true_label
-    return post
-
-
-def classify_batch(ref: LabeledFeatureSet,
-                   queries: list[FeatureVector] | np.ndarray,
+def classify_batch(ref: LabeledFeatureSet, queries: list[FeatureVector],
                    leave_one_out: bool = False) -> list[PosteriorVector]:
     """Posterior for every query, order preserving.
 
     With leave_one_out=True, a reference point whose patch_id equals the
     query's is excluded from the distance scan (training-set diagnostics).
     """
-    if isinstance(queries, np.ndarray):
-        arr = np.asarray(queries, dtype=float)
-        if arr.shape[:1] == (0,):
-            return []
-        ids = [""] * arr.shape[0]
-        true_labels: list[str | None] = [None] * arr.shape[0]
-    else:
-        if not queries:
-            return []
-        for i, fv in enumerate(queries):
-            if fv.dim != ref.dim:
-                raise DimensionMismatchError(
-                    f"query {i} ({fv.patch_id!r}) has dim {fv.dim}, "
-                    f"reference dim is {ref.dim}")
-        arr = np.array([fv.tau for fv in queries], dtype=float)
-        ids = [fv.patch_id for fv in queries]
-        true_labels = [fv.label for fv in queries]
+    if not queries:
+        return []
+    for i, fv in enumerate(queries):
+        if fv.dim != ref.dim:
+            raise DimensionMismatchError(
+                f"query {i} ({fv.patch_id!r}) has dim {fv.dim}, "
+                f"reference dim is {ref.dim}")
+    arr = np.array([fv.tau for fv in queries], dtype=float)
+    ids = [fv.patch_id for fv in queries] if leave_one_out else None
 
-    dists = _min_distances(ref, arr, exclude_ids=ids if leave_one_out else None)
+    dists = _min_distances(ref, arr, exclude_ids=ids)
     p, log_p, log_d, entropy = _posteriors(dists, ref.dim)
     predicted = np.argmax(p, axis=1)
     return [PosteriorVector(probabilities=p[i], predicted=ref.classes[predicted[i]],
                             entropy=float(entropy[i]), log_probabilities=log_p[i],
-                            log_distances=log_d[i], patch_id=ids[i],
-                            true_label=true_labels[i])
-            for i in range(arr.shape[0])]
+                            log_distances=log_d[i], patch_id=fv.patch_id,
+                            true_label=fv.label)
+            for i, fv in enumerate(queries)]
 
 
 def load_reference_csv(path: str | Path,

@@ -63,15 +63,16 @@ class Patch:
 
 @dataclass
 class FeatureVector:
-    """Scaled per-row EDFs for one patch (or the col.std baseline values)."""
+    """Scaled per-row EDFs for one patch (or the col.std baseline values).
+
+    The fields are those of one features CSV row.
+    """
 
     tau: np.ndarray
-    raw_edf: np.ndarray | None
     label: str | None
     patch_id: str
     frequency: float
     phase: float
-    degenerate: bool = False
 
     @property
     def dim(self) -> int:
@@ -121,49 +122,37 @@ def extract_edf_features(patch: Patch, q: int | None = None) -> FeatureVector:
 
     The basis dimension defaults to q_for_frequency(patch.frequency), capped
     at the patch side. Rows whose GCV search degenerates are floored at
-    EDF = 2.
+    EDF = 2; so is every row of a constant patch.
     """
     m = patch.side
     if m < 31:
         raise DataError(f"patch side must be >= 31, got {m}")
     std = standardize_patch(patch)
-    if std.degenerate:
-        raw = np.full(m, EDF_FLOOR)
-        return FeatureVector(tau=np.ones(m), raw_edf=raw, label=patch.label,
-                             patch_id=patch.patch_id, frequency=patch.frequency,
-                             phase=patch.phase, degenerate=True)
-
-    q_eff = q if q is not None else min(q_for_frequency(patch.frequency), m)
-    model = _cached_model(m, q_eff)
-    raw = np.empty(m)
-    for r in range(m):
-        try:
-            raw[r] = select_lambda(model, std.pixels[r]).edf
-        except DegenerateGcvError:
-            raw[r] = EDF_FLOOR
-    return FeatureVector(tau=raw / raw.max(), raw_edf=raw, label=patch.label,
+    raw = np.full(m, EDF_FLOOR)
+    if not std.degenerate:
+        q_eff = q if q is not None else min(q_for_frequency(patch.frequency), m)
+        model = _cached_model(m, q_eff)
+        for r in range(m):
+            try:
+                raw[r] = select_lambda(model, std.pixels[r]).edf
+            except DegenerateGcvError:
+                continue  # the row keeps the floor
+    return FeatureVector(tau=raw / raw.max(), label=patch.label,
                          patch_id=patch.patch_id, frequency=patch.frequency,
                          phase=patch.phase)
 
 
 def colstd_features(patch: Patch) -> FeatureVector:
-    """Baseline feature: per-column standard deviations, scaled by their max."""
-    m = patch.side
-    std = standardize_patch(patch)
-    if std.degenerate:
-        return FeatureVector(tau=np.zeros(m), raw_edf=np.zeros(m),
-                             label=patch.label, patch_id=patch.patch_id,
-                             frequency=patch.frequency, phase=patch.phase,
-                             degenerate=True)
-    col_std = std.pixels.std(axis=0, ddof=1)
+    """Baseline feature: per-column standard deviations, scaled by their max.
+
+    All-constant columns (a constant patch standardizes to zeros) give the
+    zero vector.
+    """
+    col_std = standardize_patch(patch).pixels.std(axis=0, ddof=1)
     top = col_std.max()
-    if top < _CONSTANT_STD_TOL:
-        return FeatureVector(tau=np.zeros(m), raw_edf=col_std, label=patch.label,
-                             patch_id=patch.patch_id, frequency=patch.frequency,
-                             phase=patch.phase, degenerate=True)
-    return FeatureVector(tau=col_std / top, raw_edf=col_std, label=patch.label,
-                         patch_id=patch.patch_id, frequency=patch.frequency,
-                         phase=patch.phase)
+    tau = np.zeros(patch.side) if top < _CONSTANT_STD_TOL else col_std / top
+    return FeatureVector(tau=tau, label=patch.label, patch_id=patch.patch_id,
+                         frequency=patch.frequency, phase=patch.phase)
 
 
 def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
@@ -200,11 +189,12 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
                 tau = np.array([float(v) for v in row[5:]])
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{where}: malformed feature row ({exc})") from exc
+            if m < 1:
+                raise DataError(f"{where}: row for {row[0]!r} has m={m}; need m >= 1")
             if len(row) != 5 + m:
                 raise DataError(f"{where}: row for {row[0]!r} has wrong tau count")
             if not np.isfinite(tau).all():
                 raise DataError(f"{where}: row for {row[0]!r} has non-finite tau")
-            out.append(FeatureVector(tau=tau, raw_edf=None,
-                                     label=row[1] or None, patch_id=row[0],
+            out.append(FeatureVector(tau=tau, label=row[1] or None, patch_id=row[0],
                                      frequency=frequency, phase=phase))
     return out

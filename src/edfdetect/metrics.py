@@ -23,29 +23,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (PosteriorVector, _entropy_rows, build_reference,
-                         classify_batch)
+from .classifier import _entropy_rows, build_reference, classify_batch
 from .errors import DataError
 from .features import FeatureVector
-
-DEFECT = "defect"
-DEFECT_FREE_BINARY = "defect_free"
-
-
-@dataclass
-class BinaryPosterior:
-    """Posterior collapsed to defect vs defect-free."""
-
-    p_defect: float
-    p_defect_free: float
-    predicted_defect: bool
-    entropy: float
-    true_defect: bool | None = None
 
 
 def _merge_rows(probabilities: np.ndarray, classes: tuple[str, ...],
                 defect_classes: set[str]):
-    """(p_defect, p_defect_free, predicted_defect, entropy) rows of an (n, K) matrix."""
+    """(p_defect, p_defect_free, predicted_defect, entropy) rows of an (n, K) matrix.
+
+    defect_classes must be a nonempty proper subset of the class set; the
+    merged probabilities sum to each row's total, and the binary label is
+    the argmax with ties going to defect.
+    """
     cl = set(classes)
     if not defect_classes or not defect_classes < cl:
         raise DataError(
@@ -56,24 +46,6 @@ def _merge_rows(probabilities: np.ndarray, classes: tuple[str, ...],
     p_free = probabilities[:, ~mask].sum(axis=1)
     entropy = _entropy_rows(np.column_stack([p_def, p_free]))
     return p_def, p_free, p_def >= p_free, entropy
-
-
-def merge_defect_classes(post: PosteriorVector, classes: tuple[str, ...],
-                         defect_classes: set[str]) -> BinaryPosterior:
-    """Collapse a multi-class posterior into (p_defect, p_defect_free).
-
-    defect_classes must be a nonempty proper subset of the class set; the
-    merged probabilities sum to the original total, and the binary label is
-    the argmax with ties going to defect.
-    """
-    p_def, p_free, predicted, entropy = _merge_rows(
-        post.probabilities[None, :], classes, defect_classes)
-    true_defect = None
-    if post.true_label is not None:
-        true_defect = post.true_label in defect_classes
-    return BinaryPosterior(p_defect=float(p_def[0]), p_defect_free=float(p_free[0]),
-                           predicted_defect=bool(predicted[0]),
-                           entropy=float(entropy[0]), true_defect=true_defect)
 
 
 def probability_metrics(is_defect: list[bool], p_defect: list[float]):
@@ -117,16 +89,6 @@ def average_entropy(posteriors) -> float:
     return float(np.mean([p.entropy for p in posteriors]))
 
 
-def one_against_all(posteriors: list[PosteriorVector], classes: tuple[str, ...],
-                    target_class: str):
-    """(prob_mer, prob_fpr, prob_fnr) treating target_class as the positive."""
-    merged = [merge_defect_classes(p, classes, {target_class}) for p in posteriors]
-    truth = [m.true_defect for m in merged]
-    if any(t is None for t in truth):
-        raise DataError("one_against_all needs true labels on every posterior")
-    return probability_metrics(truth, [m.p_defect for m in merged])
-
-
 def _train_count(n: int, train_fraction: float) -> int:
     return int(math.floor(n * train_fraction + 0.5))
 
@@ -142,7 +104,7 @@ def stratified_split(labels: list[str], train_fraction: float,
         raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
     labels_arr = np.asarray(labels)
     classes = []
-    for lab in labels_arr:
+    for lab in labels:
         if lab not in classes:
             classes.append(lab)
     rng = np.random.default_rng(seed)
@@ -272,8 +234,8 @@ def evaluate_single_run(features: list[FeatureVector], seed: int,
 
 
 def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
-                        train_fraction: float = 0.7,
-                        defect_classes: set[str] | None = None) -> EvaluationReport:
+                        train_fraction: float,
+                        defect_classes: set[str]) -> EvaluationReport:
     """Run split -> classify -> metrics once per seed and aggregate.
 
     Per-run metric values are kept alongside across-run means and standard
@@ -281,8 +243,6 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
     """
     if not seeds:
         raise DataError("need at least one seed")
-    if defect_classes is None:
-        defect_classes = {"crater", "dirt"}
     # validation points per class under stratified_split's rule, any seed
     val_counts = {c: n - _train_count(n, train_fraction)
                   for c, n in Counter(fv.label or "" for fv in features).items()}

@@ -80,7 +80,7 @@ class DefectSpec:
     @property
     def support_radius(self) -> float:
         """Distance beyond which the phase perturbation is exactly zero."""
-        return self.radius if self.kind == CRATER else 2.5 * self.radius
+        return self.radius if self.kind == CRATER else _DIRT_TAPER_END_R * self.radius
 
 
 # Crater ring: difference of Gaussians with sigma2 = sigma1/2 peaks at
@@ -108,7 +108,7 @@ def phase_field(defect: DefectSpec, m: int) -> np.ndarray:
         s2 = s1 / 2.0
         ring = np.exp(-d**2 / (2 * s1**2)) - np.exp(-d**2 / (2 * s2**2))
         ring *= _cos_taper(d, _CRATER_TAPER_START * defect.radius, defect.radius)
-        ring[d >= defect.radius] = 0.0
+        ring[d >= defect.support_radius] = 0.0
         dd = np.linspace(0.0, defect.radius, 2001)
         gg = np.exp(-dd**2 / (2 * s1**2)) - np.exp(-dd**2 / (2 * s2**2))
         gg *= _cos_taper(dd, _CRATER_TAPER_START * defect.radius, defect.radius)
@@ -118,7 +118,7 @@ def phase_field(defect: DefectSpec, m: int) -> np.ndarray:
     bump = np.exp(-d**2 / (2 * sigma**2))
     bump *= _cos_taper(d, _DIRT_TAPER_START_R * defect.radius,
                        _DIRT_TAPER_END_R * defect.radius)
-    bump[d >= _DIRT_TAPER_END_R * defect.radius] = 0.0
+    bump[d >= defect.support_radius] = 0.0
     return defect.strength * bump
 
 
@@ -295,6 +295,8 @@ _MANIFEST_COLUMNS = ["patch_id", "file", "label", "f", "psi", "m", "kind",
 _AUTO_CYCLES = {20: 2.0, 30: 3.0, 40: 4.0}
 _AUTO_NOISE_FRAC = {20: 0.20, 30: 0.12, 40: 0.08}
 _AUTO_DIRT_RADIUS = {20: (8.0, 12.0), 30: (6.0, 10.0), 40: (5.0, 9.0)}
+# Patch origins are drawn with rng.integers, which holds int64 values.
+_MAX_PATTERN_WIDTH = 2**63 - 1
 
 
 @dataclass
@@ -328,7 +330,10 @@ class GenerationConfig:
         q = q_for_frequency(f)
         width = self.pattern_width
         if width is None:
-            width = max(round(f * self.m / _AUTO_CYCLES[q]), self.m)
+            width = f * self.m / _AUTO_CYCLES[q]
+            if not width <= _MAX_PATTERN_WIDTH:
+                raise ConfigError(f"f={f!r} gives auto pattern_width {width!r} > 2**63 - 1")
+            width = max(round(width), self.m)
         sigma = self.noise_sigma
         if sigma is None:
             sigma = _AUTO_NOISE_FRAC[q] * self.amplitude
@@ -344,8 +349,9 @@ class GenerationConfig:
     def validate(self) -> None:
         if self.m < 31 or self.m % 2 == 0:
             raise ConfigError(f"m must be odd and >= 31, got {self.m}")
-        if self.pattern_width is not None and self.pattern_width < self.m:
-            raise ConfigError("pattern_width must be >= m")
+        if (self.pattern_width is not None
+                and not self.m <= self.pattern_width <= _MAX_PATTERN_WIDTH):
+            raise ConfigError("pattern_width must be >= m and <= 2**63 - 1")
         if min(self.count_defect_free, self.count_dirt, self.count_crater) < 0:
             raise ConfigError("class counts must be >= 0")
         if not self.frequencies or not self.phases:

@@ -14,7 +14,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 import edfdetect.cli as cli
-from edfdetect.classifier import build_reference, min_class_distance, posterior
+from edfdetect.classifier import _min_distances, build_reference, classify_batch
 from edfdetect.features import FeatureVector, Patch, extract_edf_features
 from edfdetect.metrics import probability_metrics, hard_metrics, stratified_split
 from edfdetect.splinefit import build_spline_model, fit_penalized
@@ -156,7 +156,7 @@ def test_criterion_5_posterior_suite():
 
     def fv(tau, label):
         tau = np.asarray(tau, dtype=float)
-        return FeatureVector(tau=tau, raw_edf=None, label=label, patch_id="",
+        return FeatureVector(tau=tau, label=label, patch_id="",
                              frequency=8.0, phase=0.0)
 
     # normalization across dimensions and distance scales
@@ -169,18 +169,18 @@ def test_criterion_5_posterior_suite():
                 pts[j, j] = d[j]
             ref = build_reference([fv(pts[0], "a"), fv(pts[1], "b"),
                                    fv(pts[2], "c")])
-            p = posterior(ref, np.zeros(dim)).probabilities
+            p = classify_batch(ref, [fv(np.zeros(dim), None)])[0].probabilities
             norm_ok &= abs(p.sum() - 1.0) <= 1e-12 and (p >= 0).all()
 
     # hand case: distances (1, 2) in dimension 2 -> (0.8, 0.2)
     ref2 = build_reference([fv([1.0, 0.0], "a"), fv([0.0, 2.0], "b")])
-    hand = posterior(ref2, np.zeros(2)).probabilities
+    hand = classify_batch(ref2, [fv(np.zeros(2), None)])[0].probabilities
     hand_ok = np.allclose(hand, [0.8, 0.2], atol=1e-12)
 
     # uniform tie
     pts = np.eye(3) * 2.5
     ref3 = build_reference([fv(pts[0], "a"), fv(pts[1], "b"), fv(pts[2], "c")])
-    tie = posterior(ref3, np.zeros(3))
+    tie = classify_batch(ref3, [fv(np.zeros(3), None)])[0]
     tie_ok = (np.allclose(tie.probabilities, 1 / 3, atol=1e-12)
               and abs(tie.entropy - math.log(3)) <= 1e-12)
 
@@ -191,7 +191,7 @@ def test_criterion_5_posterior_suite():
     brute_ok = True
     for _ in range(20):
         query = rng.standard_normal(9)
-        got = min_class_distance(refb, query)
+        got = _min_distances(refb, query[None, :])[0]
         for j, cls in enumerate(refb.classes):
             brute = min(np.linalg.norm(p - query)
                         for p, lab in zip(points, labels) if lab == cls)
@@ -205,7 +205,7 @@ def test_criterion_5_posterior_suite():
         pts = np.zeros((2, 91))
         pts[0, 0], pts[1, 1] = d[0], d[1]
         ref = build_reference([fv(pts[0], "a"), fv(pts[1], "b")])
-        post = posterior(ref, np.zeros(91))
+        post = classify_batch(ref, [fv(np.zeros(91), None)])[0]
         dd = np.exp(post.log_distances)
         exact = [mpmath.mpf(x) ** (-91) for x in dd]
         total = exact[0] + exact[1]

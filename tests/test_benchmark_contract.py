@@ -50,7 +50,7 @@ def test_select_lambda_on_a_built_model():
 
 
 def test_classify_batch_result_fields():
-    vecs = [features.FeatureVector(tau=np.array([0.1 * i, 1.0]), raw_edf=None,
+    vecs = [features.FeatureVector(tau=np.array([0.1 * i, 1.0]),
                                    label=("a", "b")[i % 2], patch_id=f"p{i}",
                                    frequency=8.0, phase=0.0) for i in range(4)]
     ref = classifier.build_reference(vecs)

@@ -7,17 +7,31 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from edfdetect.classifier import (build_reference, classify_batch,
-                                  load_reference_csv, min_class_distance,
-                                  posterior, write_posteriors_csv)
+from edfdetect.classifier import (_min_distances, build_reference,
+                                  classify_batch, load_reference_csv,
+                                  write_posteriors_csv)
 from edfdetect.errors import DataError, DimensionMismatchError, SingleClassError
 from edfdetect.features import FeatureVector, write_features_csv
 
 
 def fv(tau, label, pid=""):
     tau = np.asarray(tau, dtype=float)
-    return FeatureVector(tau=tau, raw_edf=tau.copy(), label=label, patch_id=pid,
-                         frequency=8.0, phase=0.0)
+    return FeatureVector(tau=tau, label=label, patch_id=pid, frequency=8.0,
+                         phase=0.0)
+
+
+def classify_one(ref, query):
+    """Posterior of one unlabeled query vector."""
+    return classify_batch(ref, [fv(query, None)])[0]
+
+
+def class_distances(ref, query):
+    """Per-class minimum distances of one query vector."""
+    return _min_distances(ref, np.asarray(query, dtype=float)[None, :])[0]
+
+
+def class_counts(ref):
+    return {c: len(ref.class_rows(c)) for c in ref.classes}
 
 
 def simple_ref(dim=2):
@@ -31,7 +45,7 @@ def simple_ref(dim=2):
 def test_build_reference_counts():
     ref = build_reference([fv([0, 0], "a"), fv([1, 0], "a"), fv([0, 1], "b")])
     assert ref.classes == ("a", "b")
-    assert ref.per_class_counts == {"a": 2, "b": 1}
+    assert class_counts(ref) == {"a": 2, "b": 1}
 
 
 def test_build_reference_dimension_mismatch():
@@ -50,18 +64,18 @@ def test_build_reference_counts_match_manifest():
     vectors = [fv(rng.standard_normal(5), lab, f"p{i}")
                for i, lab in enumerate(labels)]
     ref = build_reference(vectors)
-    assert ref.per_class_counts == {"defect_free": 400, "crater": 80, "dirt": 120}
+    assert class_counts(ref) == {"defect_free": 400, "crater": 80, "dirt": 120}
 
 
 def test_min_distance_to_own_point_is_zero():
     ref = simple_ref()
-    d = min_class_distance(ref, np.array([0.0, 0.0]))
+    d = class_distances(ref, np.array([0.0, 0.0]))
     assert d[0] == 0.0 and d[1] == 3.0
 
 
 def test_min_distance_one_dimensional_example():
     ref = build_reference([fv([0.0], "a"), fv([3.0], "b")])
-    np.testing.assert_allclose(min_class_distance(ref, np.array([1.0])), [1.0, 2.0])
+    np.testing.assert_allclose(class_distances(ref, np.array([1.0])), [1.0, 2.0])
 
 
 def test_min_distance_matches_brute_force():
@@ -72,7 +86,7 @@ def test_min_distance_matches_brute_force():
                            for i, (p, lab) in enumerate(zip(points, labels))])
     for _ in range(25):
         query = rng.standard_normal(7)
-        got = min_class_distance(ref, query)
+        got = class_distances(ref, query)
         for j, cls in enumerate(ref.classes):
             brute = min(np.sqrt(((p - query) ** 2).sum())
                         for p, lab in zip(points, labels) if lab == cls)
@@ -82,7 +96,7 @@ def test_min_distance_matches_brute_force():
 def test_posterior_hand_case():
     # distances (1, 2) in dimension 2: p1 = 1 / (1 + 2^-2) = 0.8
     ref = simple_ref(dim=2)
-    post = posterior(ref, np.array([1.0, 0.0]))
+    post = classify_one(ref, np.array([1.0, 0.0]))
     np.testing.assert_allclose(post.probabilities, [0.8, 0.2], atol=1e-12)
     assert post.predicted == "a"
 
@@ -90,7 +104,7 @@ def test_posterior_hand_case():
 def test_posterior_equal_distances_is_uniform():
     pts = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
     ref = build_reference([fv(pts[0], "a"), fv(pts[1], "b"), fv(pts[2], "c")])
-    post = posterior(ref, np.zeros(3))
+    post = classify_one(ref, np.zeros(3))
     np.testing.assert_allclose(post.probabilities, np.full(3, 1 / 3), atol=1e-12)
     assert abs(post.entropy - np.log(3)) <= 1e-12
 
@@ -101,7 +115,7 @@ def test_posterior_extreme_distances_match_mpmath():
     a = np.zeros(dim); a[0] = near
     b = np.zeros(dim); b[0] = -far
     ref = build_reference([fv(a, "a"), fv(b, "b")])
-    post = posterior(ref, np.zeros(dim))
+    post = classify_one(ref, np.zeros(dim))
     d = np.exp(post.log_distances)
 
     mpmath.mp.dps = 80
@@ -115,17 +129,17 @@ def test_posterior_extreme_distances_match_mpmath():
 
 def test_posterior_zero_distance_rule():
     ref = simple_ref()
-    post = posterior(ref, np.array([0.0, 0.0]))
+    post = classify_one(ref, np.array([0.0, 0.0]))
     np.testing.assert_array_equal(post.probabilities, [1.0, 0.0])
     assert post.predicted == "a"
     # equidistant-at-zero: two classes sharing the query point
     ref2 = build_reference([fv([0, 0], "a"), fv([0, 0], "b"), fv([5, 5], "b")])
-    post2 = posterior(ref2, np.array([0.0, 0.0]))
+    post2 = classify_one(ref2, np.array([0.0, 0.0]))
     np.testing.assert_array_equal(post2.probabilities, [0.5, 0.5])
 
 
 def test_classify_batch_empty():
-    assert classify_batch(simple_ref(), np.empty((0, 2))) == []
+    assert classify_batch(simple_ref(), []) == []
 
 
 def test_classify_batch_self_match():
@@ -179,7 +193,7 @@ def test_classify_batch_matches_per_row_oracle():
     batch = classify_batch(ref, queries)
 
     for q, got in zip(queries, batch):
-        p, log_p, log_d = _oracle_posterior(min_class_distance(ref, q.tau), dim)
+        p, log_p, log_d = _oracle_posterior(class_distances(ref, q.tau), dim)
         np.testing.assert_array_equal(got.probabilities, p)
         np.testing.assert_array_equal(got.log_probabilities, log_p)
         np.testing.assert_array_equal(got.log_distances, log_d)
@@ -195,15 +209,19 @@ def test_classify_batch_matches_per_row_oracle():
     assert np.isfinite(flushed.log_probabilities).all()
 
 
-def test_posterior_is_one_row_batch():
+def test_classify_batch_carries_query_id_and_label():
     ref = simple_ref()
-    post = posterior(ref, np.array([1.0, 0.5]), patch_id="x", true_label="b")
-    (row,) = classify_batch(ref, np.array([[1.0, 0.5]]))
-    np.testing.assert_array_equal(post.probabilities, row.probabilities)
+    (post,) = classify_batch(ref, [fv([1.0, 0.5], "b", "x")])
     assert (post.patch_id, post.true_label) == ("x", "b")
-    for bad in (np.zeros(3), np.zeros(0)):
-        with pytest.raises(DimensionMismatchError):
-            posterior(ref, bad)
+    (unlabeled,) = classify_batch(ref, [fv([1.0, 0.5], None)])
+    assert (unlabeled.patch_id, unlabeled.true_label) == ("", None)
+    np.testing.assert_array_equal(post.probabilities, unlabeled.probabilities)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(0)])
+def test_classify_batch_rejects_wrong_dimension(bad):
+    with pytest.raises(DimensionMismatchError):
+        classify_batch(simple_ref(), [fv(bad, None)])
 
 
 def test_leave_one_out_excludes_matching_id():
@@ -240,7 +258,7 @@ def test_posterior_normalization_across_dims():
             for j in range(3):
                 pts[j, j] = d[j]
             ref = build_reference([fv(pts[0], "a"), fv(pts[1], "b"), fv(pts[2], "c")])
-            post = posterior(ref, np.zeros(dim))
+            post = classify_one(ref, np.zeros(dim))
             assert abs(post.probabilities.sum() - 1.0) <= 1e-12
             assert np.all(post.probabilities >= 0.0)
 
@@ -253,7 +271,7 @@ def test_posterior_monotone_in_distance():
         a = np.zeros(dim); a[0] = d1
         b = np.zeros(dim); b[1] = base
         ref = build_reference([fv(a, "a"), fv(b, "b")])
-        p = posterior(ref, np.zeros(dim)).probabilities[0]
+        p = classify_one(ref, np.zeros(dim)).probabilities[0]
         assert p >= p_prev
         p_prev = p
 
@@ -264,7 +282,7 @@ def test_posterior_sharpens_with_dimension():
         a = np.zeros(dim); a[0] = 1.0
         b = np.zeros(dim); b[1] = 2.0
         ref = build_reference([fv(a, "a"), fv(b, "b")])
-        p = posterior(ref, np.zeros(dim)).probabilities[0]
+        p = classify_one(ref, np.zeros(dim)).probabilities[0]
         assert p >= p_prev
         p_prev = p
 
@@ -275,10 +293,10 @@ def test_class_permutation_equivariance():
     labels = ["a", "a", "b", "b", "c", "c"]
     query = rng.standard_normal(4)
     ref = build_reference([fv(p, l) for p, l in zip(pts, labels)])
-    post = posterior(ref, query)
+    post = classify_one(ref, query)
     order = [4, 5, 2, 3, 0, 1]  # classes now appear as c, b, a
     ref2 = build_reference([fv(pts[i], labels[i]) for i in order])
-    post2 = posterior(ref2, query)
+    post2 = classify_one(ref2, query)
     for cls in ("a", "b", "c"):
         i, j = ref.classes.index(cls), ref2.classes.index(cls)
         assert post.probabilities[i] == post2.probabilities[j]
@@ -292,7 +310,7 @@ def test_log_space_matches_naive_for_benign_distances():
         pts = np.zeros((3, dim))
         pts[0, 0], pts[1, 1 % dim], pts[2, 2 % dim] = d[0], d[1], d[2]
         ref = build_reference([fv(pts[0], "a"), fv(pts[1], "b"), fv(pts[2], "c")])
-        post = posterior(ref, np.zeros(dim))
+        post = classify_one(ref, np.zeros(dim))
         dist = np.exp(post.log_distances)
         naive = dist ** (-dim) / (dist ** (-dim)).sum()
         np.testing.assert_allclose(post.probabilities, naive, atol=1e-10)
@@ -305,7 +323,7 @@ def test_reference_csv_and_posterior_csv(tmp_path):
     feats = tmp_path / "ref.csv"
     write_features_csv(vectors, feats)
     ref = load_reference_csv(feats)
-    assert ref.per_class_counts == {"defect_free": 5, "dirt": 5}
+    assert class_counts(ref) == {"defect_free": 5, "dirt": 5}
 
     posts = classify_batch(ref, vectors)
     out = tmp_path / "posteriors.csv"

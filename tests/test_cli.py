@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,17 @@ def test_malformed_feature_field_is_data_error(pipeline, tmp_path, capsys,
     assert f"{bad}:3:" in payload["message"]
 
 
+def test_zero_dimension_features_are_data_error(tmp_path, capsys):
+    feats = tmp_path / "m0.csv"
+    feats.write_text("patch_id,label,f,psi,m\np0,a,8.0,0.0,0\np1,b,8.0,0.0,0\n")
+    capsys.readouterr()
+    rc = cli.main(["classify", "--reference", str(feats), "--queries", str(feats),
+                   "--out", str(tmp_path / "post.csv")])
+    assert rc == 3
+    assert f"{feats}:2:" in _one_error_line(capsys)["message"]
+    assert not (tmp_path / "post.csv").exists()
+
+
 def _one_error_line(capsys) -> dict:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR ")
@@ -256,7 +268,8 @@ TINY = ["--set", "m=31", "--set", "count_defect_free=2", "--set", "count_dirt=2"
     "frequencies=nan", "frequencies=inf", "frequencies=-8", "frequencies=0",
     "phases=nan", "offset=nan", "amplitude=inf", "noise_sigma=nan",
     "center_jitter=nan", "crater_radius=nan,nan", "amplitude=1e308",
-    "offset=1e308", "amplitude=0", "noise_sigma=-1"])
+    "offset=1e308", "amplitude=0", "noise_sigma=-1", "frequencies=1e308",
+    "frequencies=1e306", "pattern_width=100000000000000000000"])
 def test_bad_generation_value_is_config_error(tmp_path, capsys, setting):
     ds = tmp_path / "ds"
     rc = cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY,
@@ -474,3 +487,14 @@ assert synth._decimal_table.cache_info().currsize == 1
 def test_pgm_writer_table_is_built_by_the_first_write_only(pipeline, tmp_path):
     _, _, ds, _ = pipeline
     _run_child(_NO_PGM_TABLE, ds, tmp_path / "f.csv")
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    import edfdetect
+
+    bound = [name for name, obj in vars(edfdetect).items()
+             if not name.startswith("_") and not isinstance(obj, types.ModuleType)]
+    assert sorted(edfdetect.__all__) == sorted(bound)
+    namespace: dict = {}
+    exec("from edfdetect import *", namespace)
+    assert set(edfdetect.__all__) <= set(namespace)

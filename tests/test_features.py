@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from edfdetect.errors import DataError
+from edfdetect.errors import DegenerateGcvError
 from edfdetect.features import (Patch, colstd_features, extract_edf_features,
                                 q_for_frequency, read_features_csv,
                                 standardize_patch, write_features_csv)
+from edfdetect.splinefit import build_spline_model, select_lambda
 from edfdetect.synth import (CRATER, DefectSpec, GenerationConfig,
                              inject_defect, render_clean_patch)
 
@@ -16,6 +18,18 @@ F8_SPEC = GenerationConfig().channel_spec(8.0, np.pi)
 def make_patch(pixels, f=8.0, psi=0.0, label=None, patch_id="t"):
     return Patch(pixels=np.asarray(pixels, dtype=float), frequency=f, phase=psi,
                  label=label, patch_id=patch_id)
+
+
+def row_edfs(patch):
+    """Per-row EDFs of the standardized patch, one select_lambda call each."""
+    model = build_spline_model(patch.side, q_for_frequency(patch.frequency))
+    edfs = []
+    for row in standardize_patch(patch).pixels:
+        try:
+            edfs.append(select_lambda(model, row).edf)
+        except DegenerateGcvError:
+            edfs.append(2.0)
+    return np.array(edfs)
 
 
 def test_standardize_constant_patch_degenerate():
@@ -73,7 +87,7 @@ def test_crater_rows_are_the_wiggliest():
     patch = render_clean_patch(F8_SPEC, 91, origin_col=50, seed=0)
     crater = DefectSpec(CRATER, (41.0, 45.0), radius=13.0, strength=2.75)
     fv = extract_edf_features(inject_defect(patch, F8_SPEC, crater))
-    peak_row = int(np.argmax(fv.raw_edf))
+    peak_row = int(np.argmax(fv.tau))
     assert 41 - 13 <= peak_row <= 41 + 13  # max sits inside the crater footprint
     assert fv.tau[41] > fv.tau[:10].mean()
     assert fv.tau[41] >= 0.85
@@ -92,9 +106,7 @@ def test_crater_centre_row_scales_to_exactly_one():
 
 def test_constant_patch_features_floor():
     fv = extract_edf_features(make_patch(np.full((31, 31), 2.5)))
-    np.testing.assert_array_equal(fv.raw_edf, np.full(31, 2.0))
     np.testing.assert_array_equal(fv.tau, np.ones(31))
-    assert fv.degenerate
 
 
 def test_feature_vector_invariants():
@@ -103,7 +115,8 @@ def test_feature_vector_invariants():
     fv = extract_edf_features(patch)
     assert fv.tau.max() == 1.0
     assert np.all(fv.tau > 0)
-    np.testing.assert_allclose(fv.tau * fv.raw_edf.max(), fv.raw_edf, rtol=1e-10)
+    raw = row_edfs(patch)
+    np.testing.assert_allclose(fv.tau, raw / raw.max(), rtol=1e-10)
     assert fv.dim == 31
 
 
@@ -130,7 +143,6 @@ def test_extraction_is_deterministic():
     a = extract_edf_features(make_patch(pixels))
     b = extract_edf_features(make_patch(pixels))
     assert np.array_equal(a.tau, b.tau)
-    assert np.array_equal(a.raw_edf, b.raw_edf)
 
 
 def test_small_patch_rejected():
@@ -140,8 +152,10 @@ def test_small_patch_rejected():
 
 def test_colstd_constant_patch():
     fv = colstd_features(make_patch(np.full((31, 31), 1.0)))
-    assert fv.degenerate
-    assert np.all(fv.tau == 0.0)
+    np.testing.assert_array_equal(fv.tau, np.zeros(31))
+    # constant columns in a non-constant patch take the same branch
+    ramp = np.tile(np.arange(31.0), (31, 1))
+    np.testing.assert_array_equal(colstd_features(make_patch(ramp)).tau, np.zeros(31))
 
 
 def test_colstd_loud_column_scales_to_one():
@@ -163,7 +177,6 @@ def test_colstd_matches_two_pass_oracle():
         col = std[:, c]
         mean = col.sum() / 31
         oracle[c] = np.sqrt(((col - mean) ** 2).sum() / 30)
-    np.testing.assert_allclose(fv.raw_edf, oracle, atol=1e-10)
     np.testing.assert_allclose(fv.tau, oracle / oracle.max(), atol=1e-10)
 
 

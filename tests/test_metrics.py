@@ -1,5 +1,7 @@
 """Evaluation metrics, merging, stratified splits, repeated runs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,15 @@ import edfdetect.metrics as metrics
 from edfdetect.classifier import PosteriorVector, build_reference, classify_batch
 from edfdetect.errors import DataError
 from edfdetect.features import FeatureVector
-from edfdetect.metrics import (average_entropy, evaluate_single_run,
-                               hard_metrics, merge_defect_classes,
-                               one_against_all, probability_metrics,
-                               repeated_evaluation, stratified_split)
+from edfdetect.metrics import (_merge_rows, average_entropy,
+                               evaluate_single_run, hard_metrics,
+                               probability_metrics, repeated_evaluation,
+                               stratified_split)
 
 CLASSES = ("defect_free", "crater", "dirt")
 
 
-def pv(probs, true_label=None):
+def pv(probs):
     p = np.asarray(probs, dtype=float)
     pos = p[p > 0]
     with np.errstate(divide="ignore"):
@@ -23,34 +25,50 @@ def pv(probs, true_label=None):
     return PosteriorVector(probabilities=p, predicted=CLASSES[int(np.argmax(p))],
                            entropy=float(-(pos * np.log(pos)).sum()),
                            log_probabilities=log_p,
-                           log_distances=np.zeros(len(p)), true_label=true_label)
+                           log_distances=np.zeros(len(p)))
 
 
 def fv(tau, label, pid=""):
     tau = np.asarray(tau, dtype=float)
-    return FeatureVector(tau=tau, raw_edf=tau.copy(), label=label,
-                         patch_id=pid, frequency=8.0, phase=0.0)
+    return FeatureVector(tau=tau, label=label, patch_id=pid, frequency=8.0,
+                         phase=0.0)
+
+
+def merge(probs, defect_classes=frozenset({"crater", "dirt"})):
+    """(p_defect, p_defect_free, predicted_defect, entropy) of one posterior row."""
+    p_def, p_free, predicted, entropy = _merge_rows(
+        np.asarray(probs, dtype=float)[None, :], CLASSES, set(defect_classes))
+    return float(p_def[0]), float(p_free[0]), bool(predicted[0]), float(entropy[0])
 
 
 def test_merge_example():
-    merged = merge_defect_classes(pv([0.6, 0.3, 0.1]), CLASSES, {"crater", "dirt"})
-    assert abs(merged.p_defect - 0.4) <= 1e-12
-    assert abs(merged.p_defect_free - 0.6) <= 1e-12
-    assert not merged.predicted_defect
+    p_def, p_free, predicted, _ = merge([0.6, 0.3, 0.1])
+    assert abs(p_def - 0.4) <= 1e-12
+    assert abs(p_free - 0.6) <= 1e-12
+    assert not predicted
+
+
+def test_merge_sums_to_row_total():
+    rng = np.random.default_rng(9)
+    probs = rng.dirichlet(np.ones(3), size=20) * rng.uniform(0.5, 1.0, (20, 1))
+    p_def, p_free, _, _ = _merge_rows(probs, CLASSES, {"crater", "dirt"})
+    np.testing.assert_allclose(p_def + p_free, probs.sum(axis=1), atol=1e-15)
 
 
 def test_merge_uniform_prefers_defect():
-    merged = merge_defect_classes(pv([1 / 3, 1 / 3, 1 / 3]), CLASSES,
-                                  {"crater", "dirt"})
-    assert abs(merged.p_defect - 2 / 3) <= 1e-12
-    assert merged.predicted_defect
+    p_def, _, predicted, _ = merge([1 / 3, 1 / 3, 1 / 3])
+    assert abs(p_def - 2 / 3) <= 1e-12
+    assert predicted
+    assert merge([0.5, 0.25, 0.25])[2]
 
 
 def test_merge_rejects_empty_or_full_set():
     with pytest.raises(DataError):
-        merge_defect_classes(pv([0.5, 0.3, 0.2]), CLASSES, set())
+        merge([0.5, 0.3, 0.2], set())
     with pytest.raises(DataError):
-        merge_defect_classes(pv([0.5, 0.3, 0.2]), CLASSES, set(CLASSES))
+        merge([0.5, 0.3, 0.2], set(CLASSES))
+    with pytest.raises(DataError):
+        merge([0.5, 0.3, 0.2], {"crater", "scratch"})
 
 
 def test_merged_mer_not_worse_on_sharp_posteriors():
@@ -63,10 +81,8 @@ def test_merged_mer_not_worse_on_sharp_posteriors():
         pred = CLASSES[rng.integers(3)] if rng.random() < 0.2 else true
         probs = np.full(3, 0.005)
         probs[CLASSES.index(pred)] = 0.99
-        post = pv(probs, true_label=true)
-        n_err3 += post.predicted != true
-        merged = merge_defect_classes(post, CLASSES, {"crater", "dirt"})
-        n_errb += merged.predicted_defect != (true != "defect_free")
+        n_err3 += pv(probs).predicted != true
+        n_errb += merge(probs)[2] != (true != "defect_free")
     assert n_errb <= n_err3
 
 
@@ -129,17 +145,6 @@ def test_average_entropy_examples():
     assert abs(average_entropy(batch) - expected) <= 1e-12
 
 
-def test_one_against_all_matches_manual_merge():
-    rng = np.random.default_rng(3)
-    posts = [pv(rng.dirichlet(np.ones(3)), true_label=CLASSES[rng.integers(3)])
-             for _ in range(50)]
-    mer, fpr, fnr = one_against_all(posts, CLASSES, "crater")
-    truth = [p.true_label == "crater" for p in posts]
-    p_crater = [float(p.probabilities[1]) for p in posts]
-    exp = probability_metrics(truth, p_crater)
-    assert (mer, fpr, fnr) == exp
-
-
 def test_stratified_split_counts():
     labels = ["a"] * 10 + ["b"] * 10
     train, val = stratified_split(labels, 0.7, seed=0)
@@ -170,7 +175,7 @@ def test_stratified_split_deterministic():
 
 
 def test_stratified_split_rejects_singleton_class():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^class 'b' has 1 member\(s\); need >= 2$"):
         stratified_split(["a", "a", "b"], 0.7, seed=0)
 
 
@@ -188,7 +193,8 @@ def separable_dataset(n_per_class=10, dim=4):
 
 def test_repeated_evaluation_structure():
     data = separable_dataset()
-    report = repeated_evaluation(data, seeds=[1, 2, 3], train_fraction=0.7)
+    report = repeated_evaluation(data, seeds=[1, 2, 3], train_fraction=0.7,
+                                 defect_classes={"crater", "dirt"})
     assert set(report.metrics) >= {"mer", "fpr", "fnr", "prob_mer", "prob_fpr",
                                    "prob_fnr", "avg_entropy", "mer_multiclass"}
     assert all(len(s.runs) == 3 for s in report.metrics.values())
@@ -199,7 +205,9 @@ def test_repeated_evaluation_structure():
 
 
 def test_repeated_evaluation_single_run_has_no_se():
-    report = repeated_evaluation(separable_dataset(), seeds=[7])
+    report = repeated_evaluation(separable_dataset(), seeds=[7],
+                                 train_fraction=0.7,
+                                 defect_classes={"crater", "dirt"})
     assert report.metrics["mer"].se is None
     assert report.metrics["mer"].mean is not None
 
@@ -241,7 +249,9 @@ def test_metrics_order_invariance():
 
 
 def test_report_serialization(tmp_path):
-    report = repeated_evaluation(separable_dataset(), seeds=[1, 2])
+    report = repeated_evaluation(separable_dataset(), seeds=[1, 2],
+                                 train_fraction=0.7,
+                                 defect_classes={"crater", "dirt"})
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
     report.write_json(json_path)
@@ -264,6 +274,17 @@ def overlapping_dataset():
     return vectors
 
 
+def _oracle_merge(post, classes, defect_classes):
+    """The 1-row merge the stacked-matrix merge replaced."""
+    in_defect = np.array([c in defect_classes for c in classes])
+    p_def = float(post.probabilities[in_defect].sum())
+    p_free = float(post.probabilities[~in_defect].sum())
+    pos = [q for q in (p_def, p_free) if q > 0.0]
+    return SimpleNamespace(p_defect=p_def, predicted_defect=p_def >= p_free,
+                           entropy=float(-sum(q * np.log(q) for q in pos)),
+                           true_defect=post.true_label in defect_classes)
+
+
 def test_single_run_binary_metrics_match_per_post_merge():
     data = overlapping_dataset()
     labels = [v.label for v in data]
@@ -272,9 +293,7 @@ def test_single_run_binary_metrics_match_per_post_merge():
         train, val = stratified_split(labels, 0.7, seed)
         ref = build_reference([data[i] for i in train])
         posts = classify_batch(ref, [data[i] for i in val])
-        merged = [merge_defect_classes(p, ref.classes, {"crater", "dirt"})
-                  for p in posts]
-        assert all(m.true_defect is not None for m in merged)
+        merged = [_oracle_merge(p, ref.classes, {"crater", "dirt"}) for p in posts]
         truth = [m.true_defect for m in merged]
         mer, fpr, fnr = hard_metrics(truth, [m.predicted_defect for m in merged])
         prob = probability_metrics(truth, [m.p_defect for m in merged])
@@ -293,7 +312,8 @@ def test_report_counts_follow_split_rule():
     data = overlapping_dataset()
     labels = [v.label for v in data]
     for frac in (0.3, 0.5, 0.7, 0.9):
-        report = repeated_evaluation(data, seeds=[4, 5], train_fraction=frac)
+        report = repeated_evaluation(data, seeds=[4, 5], train_fraction=frac,
+                                     defect_classes={"crater", "dirt"})
         for seed in (4, 5, 99):
             _, val = stratified_split(labels, frac, seed)
             val_labels = [labels[i] for i in val]
@@ -313,4 +333,5 @@ def test_repeated_evaluation_passes_program_errors_through(monkeypatch):
 
     monkeypatch.setattr(metrics, "evaluate_single_run", broken)
     with pytest.raises(ZeroDivisionError):
-        repeated_evaluation(separable_dataset(), seeds=[1], train_fraction=0.7)
+        repeated_evaluation(separable_dataset(), seeds=[1], train_fraction=0.7,
+                            defect_classes={"crater", "dirt"})

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from edfdetect.errors import ConfigError, DataError
-from edfdetect.features import extract_edf_features
+from edfdetect.features import q_for_frequency, standardize_patch
+from edfdetect.splinefit import build_spline_model, select_lambda
 from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
                              PatternSpec, _pgm_range, apply_config_override,
                              generate_dataset, generation_config,
@@ -113,9 +114,13 @@ def test_defect_row_edf_gap_at_default_strength():
     clean = render_clean_patch(spec, 91, origin_col=30, seed=5)
     strength = sum(cfg.crater_strength) / 2
     crater = DefectSpec(CRATER, (45.0, 45.0), radius=10.0, strength=strength)
-    fv_clean = extract_edf_features(clean)
-    fv_defect = extract_edf_features(inject_defect(clean, spec, crater))
-    assert fv_defect.raw_edf[45] - fv_clean.raw_edf[45] >= 2.0
+    model = build_spline_model(91, q_for_frequency(16.0))
+
+    def centre_row_edf(patch):
+        return select_lambda(model, standardize_patch(patch).pixels[45]).edf
+
+    gap = centre_row_edf(inject_defect(clean, spec, crater)) - centre_row_edf(clean)
+    assert gap >= 2.0
 
 
 def test_crater_phase_profile_shape():
