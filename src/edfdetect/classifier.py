@@ -11,11 +11,32 @@ With m up to 171, D^(-m) overflows double precision for quite ordinary
 distances, so all posterior arithmetic runs in log space. A query at
 exactly zero distance from one or more classes gets probability mass 1
 split uniformly over those classes.
+
+The per-class minimum distances come from a screen and an exact
+recompute. The screen scales queries and reference by one power of two,
+2^-k with k the binary exponent of the largest |value| (exact, and no
+square can overflow), and forms every approximate squared distance
+|q|^2 + |r|^2 - 2 q.r from one matrix product. By the dot-product error
+bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+section 3.1), each approximation and each exactly summed squared
+distance lie within about (2 dim + 6) eps (|q|^2 + |r|^2) of the true
+value, whatever order BLAS sums in. A pair whose approximation exceeds its
+class minimum by more than tol = 16 (dim + 4) eps (|q|^2 + max |r|^2),
+twice the needed margin (plus a term for unscaled squares that
+underflow), therefore cannot hold the class minimum, and only the pairs
+within tol are kept. Each kept pair is recomputed from the
+unscaled values as the square root of its squared differences summed left
+to right over the features, which is scipy's cdist arithmetic, and the
+class minimum is taken over those values. The screen only chooses
+candidates, so every reported distance is bit-identical to the naive
+per-pair distance, except where that overflows to inf (differences past
+~1e154): such a pair is recomputed in the scaled units and scaled back.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +44,12 @@ import numpy as np
 
 from .errors import DataError, DimensionMismatchError, SingleClassError
 from .features import FeatureVector, read_features_csv
+
+# Candidate margin of the distance screen, in units of the dot-product
+# error bound (dim + 4) * eps * (|q|^2 + max |r|^2); twice the bound on the
+# gap between screened and exact values, about 8, is needed.
+_SCREEN_MARGIN = 16
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -94,20 +121,54 @@ def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
     """(n_queries, K) matrix of per-class minimum Euclidean distances.
 
     A reference point whose patch id equals a query's nonempty exclude id
-    is left out of that query's scan (ids compared as integer codes).
+    is left out of that query's scan (ids compared as integer codes); a
+    class with no point left gets inf. The screen and the exact recompute
+    are described in the module docstring.
     """
-    from scipy.spatial.distance import cdist
+    rows = [ref.class_rows(c) for c in ref.classes]
+    order = np.concatenate(rows)
+    refs = ref.vectors[order]           # grouped by class: each class a column slice
+    sizes = np.array([len(r) for r in rows])
+    ends = np.cumsum(sizes)
 
-    full = cdist(queries, ref.vectors)
+    top = max(np.abs(queries).max(initial=0.0), np.abs(refs).max(initial=0.0))
+    k = math.frexp(float(top))[1]
+    q, r = np.ldexp(queries, -k), np.ldexp(refs, -k)
+    q2, r2 = (q * q).sum(axis=1), (r * r).sum(axis=1)
+    approx = q @ r.T                    # built in place: one (n, N) array
+    approx *= -2.0
+    approx += q2[:, None]
+    approx += r2
+    # An unscaled square that underflows errs by up to 2^-1074, which is
+    # 2^(-1074-2k) in the units of the screen.
+    tiny = np.ldexp(1.0, min(-1074 - 2 * k, 900))
+    tol = _SCREEN_MARGIN * (ref.dim + 4) * (_EPS * (q2 + r2.max()) + tiny)
+
+    admissible = None
     if exclude_ids is not None:
-        codes = {pid: k for k, pid in enumerate(ref.patch_ids)}
-        ref_codes = np.array([codes[pid] for pid in ref.patch_ids])
+        codes = {pid: i for i, pid in enumerate(ref.patch_ids)}
+        ref_codes = np.array([codes[ref.patch_ids[i]] for i in order])
         query_codes = np.array([codes.get(qid, -1) if qid else -1
                                 for qid in exclude_ids])
-        full[query_codes[:, None] == ref_codes[None, :]] = np.inf
-    out = np.empty((queries.shape[0], len(ref.classes)))
-    for j, c in enumerate(ref.classes):
-        out[:, j] = full[:, ref.class_rows(c)].min(axis=1)
+        admissible = query_codes[:, None] != ref_codes[None, :]
+        approx[~admissible] = np.inf
+    near = np.empty(approx.shape, dtype=bool)
+    for lo, hi in zip(ends - sizes, ends):
+        block = approx[:, lo:hi]
+        np.less_equal(block, (block.min(axis=1) + tol)[:, None], out=near[:, lo:hi])
+    if admissible is not None:
+        near &= admissible
+
+    qi, ri = np.nonzero(near)
+    diff = queries[qi] - refs[ri]
+    with np.errstate(over="ignore"):
+        exact = np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1])   # cdist's order
+    wide = np.isinf(exact)      # a square past ~1e308: recompute it scaled
+    if wide.any():
+        diff = q[qi[wide]] - r[ri[wide]]
+        exact[wide] = np.ldexp(np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1]), k)
+    out = np.full((queries.shape[0], len(rows)), np.inf)
+    np.minimum.at(out, (qi, np.searchsorted(ends, ri, side="right")), exact)
     return out
 
 
@@ -117,18 +178,39 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0).sum(axis=1)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a real 2-D array, as an (n, 1) column.
+
+    scipy.special.logsumexp's algorithm (Blanchard, Higham & Higham, 2021)
+    step for step, so the result is bit-identical to it: the row maximum
+    and its n tied copies are taken out of the sum, the rest is summed
+    shifted by the maximum, and the row is log1p(s / n) + log(n) + max.
+    A row where that is not finite (an inf or NaN in it, or all -inf)
+    falls back to log(sum(exp(a))). Call under np.errstate that ignores
+    divide, invalid and overflow.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    n_max = is_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / n_max)
+    out = np.log1p(s) + np.log(n_max) + a_max
+    bad = ~np.isfinite(out[:, 0])
+    if bad.any():
+        out[bad] = np.log(np.exp(a[bad]).sum(axis=1, keepdims=True))
+    return out
+
+
 def _posteriors(dist: np.ndarray, dim: int):
     """Map an (n, K) min-distance matrix to (p, log p, log d, entropy) rows.
 
     A row with one or more zero distances puts mass 1 uniformly on those
     classes; every other row is normalized D^-m in log space.
     """
-    from scipy.special import logsumexp
-
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_d = np.log(dist)
         ell = -dim * log_d
-        log_p = ell - logsumexp(ell, axis=1, keepdims=True)
+        log_p = ell - _logsumexp_rows(ell)
         p = np.exp(log_p)
         total = p.sum(axis=1, keepdims=True)
         np.divide(p, total, out=p, where=total > 0)

@@ -14,6 +14,7 @@ comparison runs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -171,30 +172,44 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
                              repr(fv.phase), m] + [repr(float(v)) for v in fv.tau])
 
 
+def _checked_rows(reader, path):
+    """Rows of a csv.reader, its parse errors raised as DataError at path:line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def read_features_csv(path: str | Path) -> list[FeatureVector]:
     """Load feature vectors written by write_features_csv."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text") from exc
     out: list[FeatureVector] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:5] != ["patch_id", "label", "f", "psi", "m"]:
-            raise DataError(f"{path}: not a feature CSV (bad header)")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            try:
-                m = int(row[4])
-                frequency, phase = float(row[2]), float(row[3])
-                tau = np.array([float(v) for v in row[5:]])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{where}: malformed feature row ({exc})") from exc
-            if m < 1:
-                raise DataError(f"{where}: row for {row[0]!r} has m={m}; need m >= 1")
-            if len(row) != 5 + m:
-                raise DataError(f"{where}: row for {row[0]!r} has wrong tau count")
-            if not np.isfinite(tau).all():
-                raise DataError(f"{where}: row for {row[0]!r} has non-finite tau")
-            out.append(FeatureVector(tau=tau, label=row[1] or None, patch_id=row[0],
-                                     frequency=frequency, phase=phase))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = _checked_rows(reader, path)
+    header = next(rows, None)
+    if header is None or header[:5] != ["patch_id", "label", "f", "psi", "m"]:
+        raise DataError(f"{path}: not a feature CSV (bad header)")
+    for row in rows:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        try:
+            m = int(row[4])
+            frequency, phase = float(row[2]), float(row[3])
+            tau = np.array([float(v) for v in row[5:]])
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{where}: malformed feature row ({exc})") from exc
+        if m < 1:
+            raise DataError(f"{where}: row for {row[0]!r} has m={m}; need m >= 1")
+        if len(row) != 5 + m:
+            raise DataError(f"{where}: row for {row[0]!r} has wrong tau count")
+        if not np.isfinite(tau).all():
+            raise DataError(f"{where}: row for {row[0]!r} has non-finite tau")
+        out.append(FeatureVector(tau=tau, label=row[1] or None, patch_id=row[0],
+                                 frequency=frequency, phase=phase))
     return out

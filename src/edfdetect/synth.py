@@ -379,6 +379,11 @@ class GenerationConfig:
             for psi in self.phases:
                 spec = self.channel_spec(f, psi)
                 spec.validate()
+                width = spec.pattern_width
+                top = 2.0 * math.pi * f * (width - 1) / width + psi   # _render's order
+                if not math.isfinite(top):
+                    raise ConfigError(f"f={f!r} and pattern_width {width!r} give the "
+                                      f"non-finite phase {top!r}")
                 lo, hi = _pgm_range(spec)
                 if not 0 < hi - lo < math.inf:
                     raise ConfigError(

@@ -1,15 +1,17 @@
 """NN-ball posterior classifier against brute-force and high-precision oracles."""
 
 import csv
+import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from edfdetect.classifier import (_min_distances, build_reference,
-                                  classify_batch, load_reference_csv,
-                                  write_posteriors_csv)
+from edfdetect.classifier import (_logsumexp_rows, _min_distances,
+                                  build_reference, classify_batch,
+                                  load_reference_csv, write_posteriors_csv)
 from edfdetect.errors import DataError, DimensionMismatchError, SingleClassError
 from edfdetect.features import FeatureVector, write_features_csv
 
@@ -91,6 +93,102 @@ def test_min_distance_matches_brute_force():
             brute = min(np.sqrt(((p - query) ** 2).sum())
                         for p, lab in zip(points, labels) if lab == cls)
             assert abs(got[j] - brute) <= 1e-12
+
+
+def _cdist_min_distances(ref, queries, exclude_ids=None):
+    """The kernel the screen replaced: full cdist, masked, per-class min."""
+    full = cdist(queries, ref.vectors)
+    if exclude_ids is not None:
+        for i, qid in enumerate(exclude_ids):
+            if qid:
+                full[i, [pid == qid for pid in ref.patch_ids]] = np.inf
+    return np.stack([full[:, ref.class_rows(c)].min(axis=1) for c in ref.classes],
+                    axis=1)
+
+
+def _screen_cases():
+    rng = np.random.default_rng(11)
+    labels = [("a", "b", "c")[i % 3] for i in range(60)]
+    ids = [f"p{i}" for i in range(60)]
+    # random vectors at the benchmark's dimension (sequential sums of 91 terms)
+    pts = rng.standard_normal((60, 91))
+    yield "random", pts, labels, ids, np.vstack([pts[:5], rng.standard_normal((20, 91))]), None
+    # exact duplicates: zero distances, tied across classes
+    dup = np.repeat(rng.uniform(0.0, 1.0, (20, 12)), 3, axis=0)
+    yield "duplicates", dup, labels, ids, dup[::4], None
+    # near-ties 1e-6 apart at a 1e3 offset: the screen's own ranking is noise
+    near = 1e3 + 1e-6 * rng.standard_normal((60, 20))
+    yield "near_ties", near, labels, ids, 1e3 + 1e-6 * rng.standard_normal((30, 20)), None
+    # |q|^2 past the largest double while the distances stay finite: only the
+    # power-of-two scaling keeps the screen finite
+    big = 1e154 * (1.0 + 0.01 * rng.standard_normal((70, 5)))
+    yield "huge", big[:60], labels, ids, big[60:], None
+    # leave-one-out where the query is its class's only member: that class is inf
+    lone = rng.standard_normal((7, 4))
+    lone_labels = ["a", "a", "a", "b", "b", "b", "c"]
+    lone_ids = [f"l{i}" for i in range(7)]
+    yield "lone_member", lone, lone_labels, lone_ids, lone, lone_ids
+    # leave-one-out with patch ids shared by several points (one excludes all)
+    shared_ids = [f"s{i % 7}" for i in range(60)]
+    yield "shared_ids", pts[:, :9], labels, shared_ids, pts[:12, :9], \
+        shared_ids[:10] + ["", "absent"]
+
+
+@pytest.mark.parametrize("case", list(_screen_cases()), ids=lambda c: c[0])
+def test_min_distances_equal_cdist_to_the_bit(case):
+    _, pts, labels, ids, queries, exclude = case
+    ref = build_reference([fv(p, lab, pid) for p, lab, pid in zip(pts, labels, ids)])
+    got = _min_distances(ref, queries, exclude_ids=exclude)
+    np.testing.assert_array_equal(got, _cdist_min_distances(ref, queries, exclude))
+    if exclude is not None:
+        # patch ids also enter as queries without exclusion: zero distances
+        np.testing.assert_array_equal(_min_distances(ref, queries),
+                                      _cdist_min_distances(ref, queries))
+
+
+def test_min_distances_past_cdist_overflow_are_scaled_and_finite():
+    rng = np.random.default_rng(13)
+    pts = 1e200 * rng.standard_normal((30, 6))
+    ref = build_reference([fv(p, ("a", "b", "c")[i % 3], f"p{i}")
+                           for i, p in enumerate(pts)])
+    queries = 1e200 * rng.standard_normal((8, 6))
+    assert np.isinf(_cdist_min_distances(ref, queries)).all()
+    scale = 2.0 ** -math.frexp(np.abs(np.vstack([pts, queries])).max())[1]
+    want = _cdist_min_distances(build_reference(
+        [fv(p * scale, ("a", "b", "c")[i % 3]) for i, p in enumerate(pts)]),
+        queries * scale) / scale
+    got = _min_distances(ref, queries)
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(got, want)
+
+
+def test_min_distances_lone_member_left_out_is_inf():
+    ref = build_reference([fv([0.0, 0.0], "a", "p0"), fv([1.0, 0.0], "a", "p1"),
+                           fv([5.0, 0.0], "b", "p2")])
+    d = _min_distances(ref, ref.vectors, exclude_ids=list(ref.patch_ids))
+    np.testing.assert_array_equal(d, [[1.0, 5.0], [1.0, 4.0], [4.0, np.inf]])
+
+
+_LSE_ROWS = np.array([
+    [0.0, 0.0, 1.0], [3.0, 3.0, 3.0], [-2.0, 5.0, 5.0],          # ties at the max
+    [np.inf, 1.0, 2.0], [np.inf, np.inf, 0.0], [np.inf, -np.inf, 1.0],
+    [-np.inf, 4.0, 4.0], [-np.inf, -np.inf, -np.inf], [-np.inf, -np.inf, 7.0],
+    [np.nan, 1.0, 2.0], [1e308, 1e308, -1e308], [-1e308, -1e308, -1e308],
+    [0.0, -745.0, -746.0], [15000.0, -15000.0, 0.0], [1e-300, -1e-300, 0.0],
+])
+
+
+def test_logsumexp_rows_equal_scipy_to_the_bit():
+    rng = np.random.default_rng(12)
+    a = np.vstack([_LSE_ROWS, 300.0 * rng.standard_normal((200, 3)),
+                   -171.0 * np.log(rng.uniform(1e-3, 2.0, (200, 3)))])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        got = _logsumexp_rows(a)
+        want = logsumexp(a, axis=1, keepdims=True)
+    np.testing.assert_array_equal(got, want)
+    wide = rng.standard_normal((50, 17))
+    np.testing.assert_array_equal(_logsumexp_rows(wide),
+                                  logsumexp(wide, axis=1, keepdims=True))
 
 
 def test_posterior_hand_case():

@@ -1,15 +1,21 @@
 """End-to-end CLI runs on a small dataset, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edfdetect.classifier as classifier
 import edfdetect.cli as cli
@@ -269,14 +275,18 @@ TINY = ["--set", "m=31", "--set", "count_defect_free=2", "--set", "count_dirt=2"
     "phases=nan", "offset=nan", "amplitude=inf", "noise_sigma=nan",
     "center_jitter=nan", "crater_radius=nan,nan", "amplitude=1e308",
     "offset=1e308", "amplitude=0", "noise_sigma=-1", "frequencies=1e308",
-    "frequencies=1e306", "pattern_width=100000000000000000000"])
+    "frequencies=1e306", "pattern_width=100000000000000000000",
+    "frequencies=1e306 pattern_width=1000"])
 def test_bad_generation_value_is_config_error(tmp_path, capsys, setting):
     ds = tmp_path / "ds"
-    rc = cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY,
-                   "--set", setting])
+    sets = [arg for pair in setting.split() for arg in ("--set", pair)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY, *sets])
     assert rc == 3
     assert _one_error_line(capsys)["error"] == "ConfigError"
     assert not ds.exists()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_negative_generate_seed_is_config_error(tmp_path, capsys):
@@ -451,6 +461,10 @@ assert cli.main(["generate", "--seed", "1", "--out", root + "/ds", "--set", "m=3
                  "--set", "count_crater=2"]) == 0
 assert cli.main(["extract", "--data", root + "/ds", "--out", root + "/f.csv",
                  "--feature", "colstd"]) == 0
+assert cli.main(["classify", "--reference", root + "/f.csv", "--queries",
+                 root + "/f.csv", "--out", root + "/post.csv", "--leave-one-out"]) == 0
+assert cli.main(["evaluate", "--features", root + "/f.csv", "--seed", "1",
+                 "--runs", "2", "--train-frac", "0.5", "--out", root + "/r.json"]) == 0
 assert scipy_modules() == [], scipy_modules()
 from edfdetect.splinefit import build_spline_model
 build_spline_model(91, 20).factorization()
@@ -498,3 +512,65 @@ def test_all_lists_every_public_name_the_package_binds():
     namespace: dict = {}
     exec("from edfdetect import *", namespace)
     assert set(edfdetect.__all__) <= set(namespace)
+
+
+_MUTATIONS = ("truncate", "swap", "nan", "empty", "byte", "huge")
+
+
+def _mutate(data: bytes, kind: str, i: int, j: int, byte: int) -> bytes:
+    """One corruption of a features CSV; i, j and byte pick where and what."""
+    if kind == "truncate":
+        return data[:i % len(data)]
+    if kind == "byte":
+        at = i % (len(data) + 1)
+        return data[:at] + bytes([byte]) + data[at:]
+    lines = data.split(b"\n")
+    row = i % len(lines)
+    tokens = lines[row].split(b",")
+    t = j % len(tokens)
+    if kind == "swap":
+        u = byte % len(tokens)
+        tokens[t], tokens[u] = tokens[u], tokens[t]
+    elif kind == "huge":   # a tau when the line has any
+        tokens[5 + j % (len(tokens) - 5) if len(tokens) > 5 else t] = b"1e300"
+    else:
+        tokens[t] = b"nan" if kind == "nan" else b""
+    lines[row] = b",".join(tokens)
+    return b"\n".join(lines)
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of one command, warnings counted as lines."""
+    err = io.StringIO()
+    with (contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    return rc, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(_MUTATIONS), i=st.integers(0, 10**6),
+       j=st.integers(0, 10**6), byte=st.integers(0, 255))
+def test_mutated_features_csv_exits_0_or_3_with_one_error_line(pipeline, kind, i,
+                                                               j, byte):
+    root, _, _, feats = pipeline
+    bad, post, report = (root / f"mutated{ext}" for ext in (".csv", "-post.csv", ".json"))
+    bad.write_bytes(_mutate(feats.read_bytes(), kind, i, j, byte))
+    for argv in (["classify", "--reference", str(bad), "--queries", str(bad),
+                  "--out", str(post), "--leave-one-out"],
+                 ["evaluate", "--features", str(bad), "--seed", "1", "--runs", "2",
+                  "--out", str(report)]):
+        rc, err = _run_quietly(argv)
+        assert rc in (0, 3), (argv[0], rc, err)
+        if rc == 3:
+            assert len(err) == 1 and err[0].startswith("ERROR "), (argv[0], err)
+            assert json.loads(err[0].split(" ", 1)[1])["exit_code"] == 3
+            continue
+        assert err == [], (argv[0], err)
+        if argv[0] == "classify":
+            with open(post) as fh:
+                probs = [float(v) for row in list(csv.reader(fh))[1:] for v in row[3:]]
+            assert all(math.isfinite(p) for p in probs)
+        else:
+            json.loads(report.read_text(), parse_constant=pytest.fail)

@@ -209,3 +209,14 @@ def test_features_csv_rejects_non_finite_tau(tmp_path):
     path.write_text("patch_id,label,f,psi,m,tau_1,tau_2\np0,dirt,8.0,0.0,2,nan,1.0\n")
     with pytest.raises(DataError):
         read_features_csv(path)
+
+
+@pytest.mark.parametrize("body, line", [
+    (b"p0,dirt,8.0,0.0,1,1.0\np1,dirt,8.0,0.0,1,0.\xff5\n", 3),     # not UTF-8
+    (b"p0,dirt,8.0,0.0,1,\"1.0" + b"0" * 140_000 + b"\n", 2),       # field too long
+], ids=["not_utf8", "field_too_long"])
+def test_features_csv_unreadable_bytes_are_data_errors(tmp_path, body, line):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"patch_id,label,f,psi,m,tau_1\n" + body)
+    with pytest.raises(DataError, match=f"{path}:{line}: "):
+        read_features_csv(path)
