@@ -172,32 +172,34 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
                              repr(fv.phase), m] + [repr(float(v)) for v in fv.tau])
 
 
-def _checked_rows(reader, path):
-    """Rows of a csv.reader, its parse errors raised as DataError at path:line."""
+def csv_rows(path: str | Path):
+    """(line number, row) for each row of a UTF-8 CSV file; a byte that is not
+    UTF-8 and a csv parse error are DataError at path:line."""
+    raw = Path(path).read_bytes()
     try:
-        yield from reader
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def read_features_csv(path: str | Path) -> list[FeatureVector]:
     """Load feature vectors written by write_features_csv."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 text") from exc
     out: list[FeatureVector] = []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = _checked_rows(reader, path)
-    header = next(rows, None)
+    rows = csv_rows(path)
+    _, header = next(rows, (0, None))
     if header is None or header[:5] != ["patch_id", "label", "f", "psi", "m"]:
         raise DataError(f"{path}: not a feature CSV (bad header)")
-    for row in rows:
+    for line, row in rows:
         if not row:
             continue
-        where = f"{path}:{reader.line_num}"
+        where = f"{path}:{line}"
         try:
             m = int(row[4])
             frequency, phase = float(row[2]), float(row[3])

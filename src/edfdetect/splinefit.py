@@ -7,10 +7,11 @@ One row of pixel values z (observed at sites 1..m) is fitted by minimizing
 where X holds cubic B-spline basis functions evaluated at the sites and S
 is the exact Gram matrix of their second derivatives. The basis values and
 second derivatives come from the de Boor recursion, vectorized over the
-sites in numpy (_basis_values); scipy.linalg is loaded only when a model is
-first factorized. The effective degrees of freedom (EDF) of the fit, the
-trace of the influence matrix X (X'X + lam S)^-1 X', is what downstream
-feature extraction consumes: wigglier rows need more degrees of freedom.
+sites in numpy (_basis_values), and the model is factorized with
+numpy.linalg, so smoothing needs no library beyond numpy. The effective
+degrees of freedom (EDF) of the fit, the trace of the influence matrix
+X (X'X + lam S)^-1 X', is what downstream feature extraction consumes:
+wigglier rows need more degrees of freedom.
 
 The smoothing parameter is selected by minimizing the GCV score
 m * rss / (m - edf)^2 over a geometric grid, then refining between the grid
@@ -165,24 +166,22 @@ def _basis_values(knots: np.ndarray, x: np.ndarray, nu: int) -> np.ndarray:
 
 
 def _factorize(design: np.ndarray, penalty: np.ndarray) -> _Factorization:
-    from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
-
     xtx = design.T @ design
     xtx = (xtx + xtx.T) / 2.0
     try:
-        r_upper = cholesky(xtx, lower=False)
-    except LinAlgError as exc:
+        r_upper = np.linalg.cholesky(xtx, upper=True)
+    except np.linalg.LinAlgError as exc:
         raise IllPosedFitError("design matrix is rank deficient") from exc
 
     # C = R^-T S R^-1, symmetric PSD with a 2-dim null space (affine fits).
-    tmp = solve_triangular(r_upper, penalty, trans=1, lower=False)
-    core = solve_triangular(r_upper, tmp.T, trans=1, lower=False).T
+    tmp = np.linalg.solve(r_upper.T, penalty)
+    core = np.linalg.solve(r_upper.T, tmp.T).T
     core = (core + core.T) / 2.0
-    gamma, u = eigh(core)
+    gamma, u = np.linalg.eigh(core)
     gamma = np.maximum(gamma, 0.0)
     gamma[gamma < _NULLSPACE_TOL * max(gamma[-1], 1.0)] = 0.0
 
-    basis_map = solve_triangular(r_upper, u, lower=False)
+    basis_map = np.linalg.solve(r_upper, u)
     ortho_design = design @ basis_map
 
     shrink = 1.0 / (1.0 + LAMBDA_GRID[:, None] * gamma[None, :])

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import Patch, q_for_frequency
+from .features import Patch, csv_rows, q_for_frequency
 
 DEFECT_FREE = "defect_free"
 CRATER = "crater"
@@ -221,19 +221,28 @@ def write_patch_pgm(patch: Patch, path: str | Path, lo: float, hi: float) -> Non
 def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
     """Read a P2 PGM written by write_patch_pgm; returns (pixels, lo, hi)."""
     tokens: list[str] = []
-    lo = hi = None
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) == 4 and parts[1] == "range":
-                    lo, hi = float(parts[2]), float(parts[3])
-                continue
-            tokens.extend(line.split())
+    bounds = None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("#"):
+                    parts = line.split()
+                    if len(parts) == 4 and parts[1] == "range":
+                        bounds = parts[2:]
+                    continue
+                tokens.extend(line.split())
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text PGM ({exc.reason})") from exc
     if not tokens or tokens[0] != "P2":
         raise DataError(f"{path}: not a P2 PGM file")
-    if lo is None or hi is None:
+    if bounds is None:
         raise DataError(f"{path}: missing '# range lo hi' comment")
+    try:
+        lo, hi = float(bounds[0]), float(bounds[1])
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed range comment {' '.join(bounds)!r}") from exc
+    if not 0 < hi - lo < math.inf:
+        raise DataError(f"{path}: range {lo!r} {hi!r} is not a finite lo < hi")
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
         grey = np.array([int(t) for t in tokens[4:]], dtype=float)
@@ -260,19 +269,17 @@ def write_patch_csv(patch: Patch, path: str | Path) -> None:
 
 def read_patch_csv(path: str | Path) -> np.ndarray:
     rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{where}: malformed pixel value ({exc})") from exc
-            if len(row) != len(rows[0]):
-                raise DataError(
-                    f"{where}: expected {len(rows[0])} values, got {len(row)}")
+    for line, row in csv_rows(path):
+        if not row:
+            continue
+        where = f"{path}:{line}"
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise DataError(f"{where}: malformed pixel value ({exc})") from exc
+        if len(row) != len(rows[0]):
+            raise DataError(
+                f"{where}: expected {len(rows[0])} values, got {len(row)}")
     pixels = np.array(rows)
     if pixels.ndim != 2 or pixels.shape[0] != pixels.shape[1]:
         raise DataError(f"{path}: expected a square matrix, got {pixels.shape}")
@@ -551,32 +558,38 @@ def load_dataset(manifest_path: str | Path, transpose: bool = False) -> list[Pat
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     patches: list[Patch] = []
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "patch_id" not in reader.fieldnames:
-            raise DataError(f"{manifest_path}: not a manifest CSV")
-        missing = [c for c in ("file", "label", "f", "psi")
-                   if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{manifest_path}: manifest lacks column(s) {missing}")
-        for row in reader:
-            where = f"{manifest_path}:{reader.line_num}"
-            try:
-                path = base / row["file"]
-                frequency, phase = float(row["f"]), float(row["psi"])
-                origin = int(row.get("origin_col") or 0)
-                seed = int(row["seed"]) if row.get("seed") else None
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{where}: malformed manifest row ({exc})") from exc
-            if path.suffix == ".pgm":
-                pixels, _, _ = read_patch_pgm(path)
-            else:
-                pixels = read_patch_csv(path)
-            if transpose:
-                pixels = pixels.T
-            patches.append(Patch(
-                pixels=pixels, frequency=frequency, phase=phase,
-                label=row["label"] or None, patch_id=row["patch_id"],
-                origin_col=origin, seed=seed,
-            ))
+    rows = csv_rows(manifest_path)
+    _, header = next(rows, (0, None))
+    if header is None or "patch_id" not in header:
+        raise DataError(f"{manifest_path}: not a manifest CSV")
+    missing = [c for c in ("file", "label", "f", "psi") if c not in header]
+    if missing:
+        raise DataError(f"{manifest_path}: manifest lacks column(s) {missing}")
+    for line, values in rows:
+        if not values:
+            continue
+        where = f"{manifest_path}:{line}"
+        if len(values) != len(header):
+            raise DataError(f"{where}: expected {len(header)} fields, got {len(values)}")
+        row = dict(zip(header, values))
+        try:
+            path = base / row["file"]
+            frequency, phase = float(row["f"]), float(row["psi"])
+            origin = int(row.get("origin_col") or 0)
+            seed = int(row["seed"]) if row.get("seed") else None
+        except ValueError as exc:
+            raise DataError(f"{where}: malformed manifest row ({exc})") from exc
+        if "\0" in row["file"]:
+            raise DataError(f"{where}: file name {row['file']!r} holds a NUL byte")
+        if path.suffix == ".pgm":
+            pixels, _, _ = read_patch_pgm(path)
+        else:
+            pixels = read_patch_csv(path)
+        if transpose:
+            pixels = pixels.T
+        patches.append(Patch(
+            pixels=pixels, frequency=frequency, phase=phase,
+            label=row["label"] or None, patch_id=row["patch_id"],
+            origin_col=origin, seed=seed,
+        ))
     return patches

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -420,6 +421,33 @@ def test_extract_on_malformed_csv_patch_is_data_error(tmp_path, capsys):
     assert payload["error"] == "DataError" and f"{patch}:2:" in payload["message"]
 
 
+@pytest.mark.parametrize("fmt, target, lineno, old, new, message", [
+    ("pgm", "manifest.csv", 3, rb",", b",\xff", "{path}:3: not UTF-8 text"),
+    ("pgm", "manifest.csv", 2, rb"/p0", b"/p\x000", "{path}:2: file name"),
+    ("csv", "patches/p000000.csv", 2, rb",", b",\xff", "{path}:2: not UTF-8 text"),
+    ("pgm", "patches/p000000.pgm", 5, rb" ", b" \xff", "{path}: not a text PGM"),
+    ("pgm", "patches/p000000.pgm", 2, rb"range \S+", b"range abc",
+     "{path}: malformed range comment"),
+    ("pgm", "patches/p000000.pgm", 2, rb"range \S+", b"range nan", "{path}: range nan"),
+])
+def test_extract_on_undecodable_or_non_numeric_input_is_data_error(
+        tmp_path, capsys, fmt, target, lineno, old, new, message):
+    ds = tmp_path / "ds"
+    assert cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY,
+                     "--set", f"format={fmt}"]) == 0
+    path = ds / target
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = re.sub(old, new, lines[lineno - 1], count=1)
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    rc = cli.main(["extract", "--data", str(ds), "--out", str(tmp_path / "f.csv"),
+                   "--feature", "colstd"])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "DataError"
+    assert message.format(path=path) in payload["message"], payload["message"]
+
+
 def test_extract_on_manifest_without_f_is_data_error(pipeline, tmp_path, capsys):
     _, _, ds, _ = pipeline
     copy = tmp_path / "ds"
@@ -461,14 +489,15 @@ assert cli.main(["generate", "--seed", "1", "--out", root + "/ds", "--set", "m=3
                  "--set", "count_crater=2"]) == 0
 assert cli.main(["extract", "--data", root + "/ds", "--out", root + "/f.csv",
                  "--feature", "colstd"]) == 0
+assert cli.main(["extract", "--data", root + "/ds", "--out", root + "/e.csv",
+                 "--feature", "edf"]) == 0
 assert cli.main(["classify", "--reference", root + "/f.csv", "--queries",
                  root + "/f.csv", "--out", root + "/post.csv", "--leave-one-out"]) == 0
 assert cli.main(["evaluate", "--features", root + "/f.csv", "--seed", "1",
                  "--runs", "2", "--train-frac", "0.5", "--out", root + "/r.json"]) == 0
-assert scipy_modules() == [], scipy_modules()
 from edfdetect.splinefit import build_spline_model
 build_spline_model(91, 20).factorization()
-assert "scipy.linalg" in sys.modules and "scipy.interpolate" not in sys.modules
+assert scipy_modules() == [], scipy_modules()
 """
 
 
@@ -481,7 +510,7 @@ def _run_child(script: str, *args) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_commands_import_scipy_only_where_they_use_it(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     _run_child(_FOOTPRINT, tmp_path)
 
 
@@ -517,8 +546,13 @@ def test_all_lists_every_public_name_the_package_binds():
 _MUTATIONS = ("truncate", "swap", "nan", "empty", "byte", "huge")
 
 
-def _mutate(data: bytes, kind: str, i: int, j: int, byte: int) -> bytes:
-    """One corruption of a features CSV; i, j and byte pick where and what."""
+def _mutate(data: bytes, kind: str, i: int, j: int, byte: int,
+            sep: bytes = b",") -> bytes:
+    """One corruption of a features CSV; i, j and byte pick where and what.
+
+    Tokens are split at sep, so the same corruptions apply to a PGM with
+    sep=b" ".
+    """
     if kind == "truncate":
         return data[:i % len(data)]
     if kind == "byte":
@@ -526,7 +560,7 @@ def _mutate(data: bytes, kind: str, i: int, j: int, byte: int) -> bytes:
         return data[:at] + bytes([byte]) + data[at:]
     lines = data.split(b"\n")
     row = i % len(lines)
-    tokens = lines[row].split(b",")
+    tokens = lines[row].split(sep)
     t = j % len(tokens)
     if kind == "swap":
         u = byte % len(tokens)
@@ -535,7 +569,7 @@ def _mutate(data: bytes, kind: str, i: int, j: int, byte: int) -> bytes:
         tokens[5 + j % (len(tokens) - 5) if len(tokens) > 5 else t] = b"1e300"
     else:
         tokens[t] = b"nan" if kind == "nan" else b""
-    lines[row] = b",".join(tokens)
+    lines[row] = sep.join(tokens)
     return b"\n".join(lines)
 
 
@@ -574,3 +608,52 @@ def test_mutated_features_csv_exits_0_or_3_with_one_error_line(pipeline, kind, i
             assert all(math.isfinite(p) for p in probs)
         else:
             json.loads(report.read_text(), parse_constant=pytest.fail)
+
+
+_DATASET_MUTATIONS = ("truncate", "swap", "nan", "empty", "byte", "number")
+_NON_NUMBERS = (b"abc", b"nan", b"-inf", b"1e999", b"")
+
+
+def _mutate_dataset_file(data: bytes, pgm: bool, kind: str, i: int, j: int,
+                         byte: int) -> bytes:
+    """One corruption of a manifest or a PGM; "number" puts a non-number where a
+    number is read: the PGM's range, or f, psi, origin_col or seed of a manifest row."""
+    sep = b" " if pgm else b","
+    if kind != "number":
+        return _mutate(data, kind, i, j, byte, sep)
+    lines = data.split(b"\n")
+    row, col = (1, 2 + j % 2) if pgm else (1 + i % (len(lines) - 2), (3, 4, 11, 12)[j % 4])
+    tokens = lines[row].split(sep)
+    tokens[col] = _NON_NUMBERS[byte % len(_NON_NUMBERS)]
+    lines[row] = sep.join(tokens)
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    ds = tmp_path_factory.mktemp("tiny") / "ds"
+    assert cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY]) == 0
+    return ds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pgm=st.booleans(), kind=st.sampled_from(_DATASET_MUTATIONS),
+       i=st.integers(0, 10**6), j=st.integers(0, 10**6), byte=st.integers(0, 255))
+def test_mutated_dataset_extract_exits_0_or_3_with_one_error_line(tiny_dataset, pgm,
+                                                                  kind, i, j, byte):
+    target = tiny_dataset / ("patches/p000000.pgm" if pgm else "manifest.csv")
+    out = tiny_dataset.parent / "f.csv"
+    original = target.read_bytes()
+    target.write_bytes(_mutate_dataset_file(original, pgm, kind, i, j, byte))
+    try:
+        rc, err = _run_quietly(["extract", "--data", str(tiny_dataset), "--out",
+                                str(out), "--feature", "colstd"])
+    finally:
+        target.write_bytes(original)
+    assert rc in (0, 3), (rc, err)
+    if rc == 3:
+        assert len(err) == 1 and err[0].startswith("ERROR "), err
+        assert json.loads(err[0].split(" ", 1)[1])["exit_code"] == 3
+    else:
+        assert err == [], err
+        read_features_csv(out)

@@ -69,6 +69,47 @@ def test_numpy_basis_matches_scipy_bspline_to_the_bit(m, q):
                       BSpline(model.knots, np.eye(q), 3)(nodes, nu=2))
 
 
+def _scipy_grid_edf(model, xtx):
+    """grid_edf of the factorization as first written on scipy.linalg, whose
+    eigh runs LAPACK's evr driver (numpy's runs evd)."""
+    from scipy.linalg import cholesky, eigh, solve_triangular
+
+    r_upper = cholesky(xtx, lower=False)
+    tmp = solve_triangular(r_upper, model.penalty, trans=1, lower=False)
+    core = solve_triangular(r_upper, tmp.T, trans=1, lower=False).T
+    gamma = np.maximum(eigh((core + core.T) / 2.0, eigvals_only=True), 0.0)
+    gamma[gamma < splinefit._NULLSPACE_TOL * max(gamma[-1], 1.0)] = 0.0
+    return (1.0 / (1.0 + LAMBDA_GRID[:, None] * gamma)).sum(axis=1)
+
+
+# Largest |grid_edf| drift from the scipy path over the cases below is
+# 2.95e-10 (m=45, q=40); it is 2.8e-6 at m = q = 45, which no channel uses.
+_GRID_EDF_DRIFT = 1e-9
+
+
+@pytest.mark.parametrize("m, q", [(m, q) for m in (31, 45, 91, 181)
+                                  for q in (4, 20, 30, 40) if q < m])
+def test_numpy_factorization_matches_scipy(monkeypatch, m, q):
+    from scipy.linalg import cholesky
+
+    factors = []
+    numpy_cholesky = np.linalg.cholesky
+
+    def recording_cholesky(a, **kwargs):
+        factors.append((a, numpy_cholesky(a, **kwargs)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    model = build_spline_model(m, q)
+    fact = model.factorization()
+    monkeypatch.undo()
+    (xtx, r_upper), = factors
+    assert _bit_equal(r_upper, cholesky(xtx, lower=False))
+    assert np.sum(fact.gamma == 0.0) == 2
+    assert np.abs(fact.ortho_design.T @ fact.ortho_design - np.eye(q)).max() < 1e-12
+    assert np.abs(fact.grid_edf - _scipy_grid_edf(model, xtx)).max() < _GRID_EDF_DRIFT
+
+
 def test_single_cubic_space_has_rank_two_penalty():
     model = build_spline_model(10, 4)
     eig = np.linalg.eigvalsh(model.penalty)

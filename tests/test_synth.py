@@ -371,6 +371,18 @@ def test_malformed_patch_csv_is_data_error_naming_line(tmp_path, edit, lineno):
         read_patch_csv(path)
 
 
+def test_patch_csv_parse_error_is_data_error_naming_path(tmp_path):
+    # A stray quote opens a field that runs past csv's field size limit.
+    patch = render_clean_patch(PatternSpec(pattern_width=728), 91)
+    path = tmp_path / "p.csv"
+    write_patch_csv(patch, path)
+    lines = path.read_text().splitlines()
+    lines[1] = '"' + lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:") + r"\d+: field larger"):
+        read_patch_csv(path)
+
+
 def _manifest_rows(tmp_path):
     manifest = generate_dataset(small_config(count_defect_free=2, count_dirt=2,
                                              count_crater=0),
