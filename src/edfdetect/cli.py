@@ -38,7 +38,7 @@ def derive_run_seeds(seed: int, n_runs: int) -> list[int]:
 def _config_values(path: str | None) -> dict[str, tuple[str, str]]:
     if not path:
         return {}
-    return synth.parse_key_values(Path(path).read_text().splitlines(), path)
+    return synth.parse_key_values(feat.read_utf8(path, ConfigError).splitlines(), path)
 
 
 def _load_config(args) -> synth.GenerationConfig:
@@ -93,38 +93,31 @@ def cmd_classify(args) -> int:
     return 0
 
 
-_EVALUATE_CONFIG_KEYS = {"train_frac": float, "runs": int, "merge": str, "seed": int}
+# Evaluate's settings: config key and flag dest -> parser of the value text.
+_EVALUATE_KEYS = {"train_frac": float, "runs": int, "seed": int,
+                  "merge": lambda text: {c for c in map(str.strip, text.split(",")) if c}}
 
 
-def _evaluate_params(args) -> tuple[float, int, str, int]:
-    """Merge evaluate's config file with its flags; flags win."""
-    values = {"train_frac": 0.7, "runs": 10, "merge": "crater,dirt", "seed": None}
-    for key, (val, where) in _config_values(args.config).items():
-        if key not in _EVALUATE_CONFIG_KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        try:
-            values[key] = _EVALUATE_CONFIG_KEYS[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad value for {key!r}: {val!r}") from exc
-    for key in _EVALUATE_CONFIG_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    if values["seed"] is None:
+def _evaluate_params(args) -> dict:
+    """Defaults, then evaluate's config file, then the flags given on top."""
+    params = {"train_frac": 0.7, "runs": 10, "merge": {"crater", "dirt"}, "seed": None}
+    params.update(synth.typed_values(_config_values(args.config), _EVALUATE_KEYS))
+    params.update((key, getattr(args, key)) for key in _EVALUATE_KEYS
+                  if getattr(args, key) is not None)
+    if params["seed"] is None:
         raise ConfigError("evaluate needs a seed (--seed or config key)")
-    return values["train_frac"], values["runs"], values["merge"], values["seed"]
+    return params
 
 
 def cmd_evaluate(args) -> int:
     vectors = [fv for fv in feat.read_features_csv(args.features) if fv.label]
     if not vectors:
         raise DataError(f"{args.features}: no labeled feature vectors")
-    train_frac, runs, merge, seed = _evaluate_params(args)
-    defect_classes = {c.strip() for c in merge.split(",") if c.strip()}
-    seeds = derive_run_seeds(seed, runs)
+    params = _evaluate_params(args)
+    seeds = derive_run_seeds(params["seed"], params["runs"])
     report = met.repeated_evaluation(vectors, seeds=seeds,
-                                     train_fraction=train_frac,
-                                     defect_classes=defect_classes)
+                                     train_fraction=params["train_frac"],
+                                     defect_classes=params["merge"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     json_path = out.with_suffix(".json") if out.suffix != ".json" else out
@@ -173,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--features", required=True, help="labeled features CSV")
     ev.add_argument("--out", required=True, help="output report path (.json)")
     ev.add_argument("--config", help="key=value file: train_frac, runs, merge, seed")
-    ev.add_argument("--train-frac", dest="train_frac", type=float, default=None,
+    ev.add_argument("--train-frac", dest="train_frac", type=_EVALUATE_KEYS["train_frac"],
                     help="training fraction (default 0.7)")
-    ev.add_argument("--runs", type=int, default=None,
+    ev.add_argument("--runs", type=_EVALUATE_KEYS["runs"],
                     help="number of stratified runs (default 10)")
-    ev.add_argument("--merge", default=None,
+    ev.add_argument("--merge", type=_EVALUATE_KEYS["merge"],
                     help="comma-separated classes merged into 'defect' "
                          "(default crater,dirt)")
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument("--seed", type=_EVALUATE_KEYS["seed"])
     ev.set_defaults(func=cmd_evaluate)
 
     return parser

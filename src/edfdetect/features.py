@@ -100,6 +100,15 @@ def standardize_patch(patch: Patch) -> Patch:
     return replace(patch, pixels=(pixels - mean) / std, degenerate=False)
 
 
+def channel_problem(f: float, psi: float) -> str | None:
+    """Why (f, psi) is not a channel, or None: f must lie in (0, inf), psi be finite."""
+    if not 0 < f < math.inf:
+        return f"frequency must be in (0, inf), got {f!r}"
+    if not math.isfinite(psi):
+        return f"phase must be finite, got {psi!r}"
+    return None
+
+
 def q_for_frequency(f: float) -> int:
     """Basis dimension for the smoother, keyed on the pattern frequency."""
     if f <= 0:
@@ -172,16 +181,20 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
                              repr(fv.phase), m] + [repr(float(v)) for v in fv.tau])
 
 
+def read_utf8(path: str | Path, error: type[DataError] = DataError) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is error at path:line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
 def csv_rows(path: str | Path):
     """(line number, row) for each row of a UTF-8 CSV file; a byte that is not
     UTF-8 and a csv parse error are DataError at path:line."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -212,6 +225,9 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
             raise DataError(f"{where}: row for {row[0]!r} has wrong tau count")
         if not np.isfinite(tau).all():
             raise DataError(f"{where}: row for {row[0]!r} has non-finite tau")
+        problem = channel_problem(frequency, phase)
+        if problem:
+            raise DataError(f"{where}: {problem}")
         out.append(FeatureVector(tau=tau, label=row[1] or None, patch_id=row[0],
                                  frequency=frequency, phase=phase))
     return out

@@ -90,6 +90,9 @@ def average_entropy(posteriors) -> float:
 
 
 def _train_count(n: int, train_fraction: float) -> int:
+    """round(n * train_fraction), half up; the fraction must lie in (0, 1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
     return int(math.floor(n * train_fraction + 0.5))
 
 
@@ -100,8 +103,6 @@ def stratified_split(labels: list[str], train_fraction: float,
     Each class contributes round(n_j * train_fraction) points to training
     (round half up); the remainder goes to validation.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
     labels_arr = np.asarray(labels)
     classes = []
     for lab in labels:
@@ -112,9 +113,9 @@ def stratified_split(labels: list[str], train_fraction: float,
     val_idx: list[np.ndarray] = []
     for c in classes:
         idx = np.flatnonzero(labels_arr == c)
+        k = _train_count(len(idx), train_fraction)
         if len(idx) < 2:
             raise DataError(f"class {c!r} has {len(idx)} member(s); need >= 2")
-        k = _train_count(len(idx), train_fraction)
         perm = rng.permutation(idx)
         train_idx.append(perm[:k])
         val_idx.append(perm[k:])

@@ -23,13 +23,14 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import Patch, csv_rows, q_for_frequency
+from .features import Patch, channel_problem, csv_rows, q_for_frequency
 
 DEFECT_FREE = "defect_free"
 CRATER = "crater"
@@ -330,7 +331,7 @@ class GenerationConfig:
     dirt_radius: tuple[float, float] | None = None
     dirt_strength: tuple[float, float] = (2.0, 4.0)
     center_jitter: float = 10.0
-    file_format: str = "pgm"
+    format: str = "pgm"
 
     def channel_spec(self, f: float, psi: float) -> PatternSpec:
         """Resolve the pattern spec for one channel, applying auto defaults."""
@@ -363,11 +364,6 @@ class GenerationConfig:
             raise ConfigError("class counts must be >= 0")
         if not self.frequencies or not self.phases:
             raise ConfigError("need at least one frequency and one phase")
-        if not all(0 < f < math.inf for f in self.frequencies):
-            raise ConfigError(
-                f"frequencies must be in (0, inf), got {self.frequencies}")
-        if not all(math.isfinite(psi) for psi in self.phases):
-            raise ConfigError(f"phases must be finite, got {self.phases}")
         for name in ("offset", "amplitude", "noise_sigma", "center_jitter"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -380,17 +376,28 @@ class GenerationConfig:
             lo, hi = bounds
             if not 0 < lo <= hi < math.inf:
                 raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf")
-        if self.file_format not in ("pgm", "csv"):
-            raise ConfigError(f"file format must be pgm or csv, got {self.file_format}")
+            # radii keep the squared Gaussian widths of phase_field normal floats
+            if name.endswith("radius") and not 1e-100 <= lo <= hi <= 1e100:
+                raise ConfigError(f"{name} must lie in [1e-100, 1e100], got {bounds}")
+        if self.format not in ("pgm", "csv"):
+            raise ConfigError(f"file format must be pgm or csv, got {self.format}")
         for f in self.frequencies:
             for psi in self.phases:
+                problem = channel_problem(f, psi)
+                if problem:
+                    raise ConfigError(problem)
                 spec = self.channel_spec(f, psi)
                 spec.validate()
                 width = spec.pattern_width
                 top = 2.0 * math.pi * f * (width - 1) / width + psi   # _render's order
-                if not math.isfinite(top):
-                    raise ConfigError(f"f={f!r} and pattern_width {width!r} give the "
-                                      f"non-finite phase {top!r}")
+                # a defect adds at most its strength (1% over: room for the
+                # crater's sampled peak) to the phase _render takes the sine of
+                reach = max(abs(psi), abs(top)) + 1.01 * max(self.crater_strength[1],
+                                                             self.dirt_strength[1])
+                if not math.isfinite(reach):
+                    raise ConfigError(f"f={f!r}, phase {psi!r}, pattern_width {width!r} "
+                                      f"and the defect strengths give the non-finite "
+                                      f"phase {reach!r}")
                 lo, hi = _pgm_range(spec)
                 if not 0 < hi - lo < math.inf:
                     raise ConfigError(
@@ -403,11 +410,33 @@ _PHASE_TOKENS = {"0": 0.0, "pi/2": math.pi / 2, "pi": math.pi,
                  "3pi/2": 3 * math.pi / 2}
 
 
-def _parse_phase(token: str) -> float:
-    token = token.strip()
-    if token in _PHASE_TOKENS:
-        return _PHASE_TOKENS[token]
-    return float(token)
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _phases(text: str) -> tuple[float, ...]:
+    return tuple(float(_PHASE_TOKENS.get(v.strip(), v)) for v in text.split(","))
+
+
+def _pair(text: str) -> tuple[float, float]:
+    lo, hi = _floats(text)
+    return lo, hi
+
+
+def _or_auto(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """parse, except that 'auto' is None: the per-channel default."""
+    return lambda text: None if text == "auto" else parse(text)
+
+
+# Config key -> parser of its value text; each key names a GenerationConfig field.
+GENERATION_KEYS: dict[str, Callable[[str], object]] = {
+    "m": int, "pattern_width": _or_auto(int), "offset": float,
+    "amplitude": float, "noise_sigma": _or_auto(float), "frequencies": _floats,
+    "phases": _phases, "count_defect_free": int, "count_dirt": int,
+    "count_crater": int, "crater_radius": _pair, "crater_strength": _pair,
+    "dirt_radius": _or_auto(_pair), "dirt_strength": _pair,
+    "center_jitter": float, "format": str,
+}
 
 
 def parse_key_values(lines: list[str], source: str) -> dict[str, tuple[str, str]]:
@@ -429,45 +458,25 @@ def parse_key_values(lines: list[str], source: str) -> dict[str, tuple[str, str]
     return values
 
 
+def typed_values(values: dict[str, tuple[str, str]],
+                 keys: dict[str, Callable[[str], object]]) -> dict[str, object]:
+    """{key: keys[key](value)} of parse_key_values output; a key not in the table
+    or a value its parser rejects is a ConfigError at the value's location."""
+    typed = {}
+    for key, (val, where) in values.items():
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        try:
+            typed[key] = keys[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {val!r}") from exc
+    return typed
+
+
 def generation_config(values: dict[str, tuple[str, str]]) -> GenerationConfig:
     """Apply parse_key_values output to the defaults, then validate once."""
-    cfg = GenerationConfig()
-    for key, (val, where) in values.items():
-        try:
-            apply_config_override(cfg, key, val)
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+    cfg = GenerationConfig(**typed_values(values, GENERATION_KEYS))
     cfg.validate()
-    return cfg
-
-
-def apply_config_override(cfg: GenerationConfig, key: str, val: str) -> GenerationConfig:
-    """Return cfg with one key=value override applied; 'auto' restores defaults."""
-    try:
-        if key in ("m", "count_defect_free", "count_dirt", "count_crater"):
-            setattr(cfg, key, int(val))
-        elif key == "pattern_width":
-            cfg.pattern_width = None if val == "auto" else int(val)
-        elif key == "noise_sigma":
-            cfg.noise_sigma = None if val == "auto" else float(val)
-        elif key in ("offset", "amplitude", "center_jitter"):
-            setattr(cfg, key, float(val))
-        elif key == "frequencies":
-            cfg.frequencies = tuple(float(v) for v in val.split(","))
-        elif key == "phases":
-            cfg.phases = tuple(_parse_phase(v) for v in val.split(","))
-        elif key == "dirt_radius" and val == "auto":
-            cfg.dirt_radius = None
-        elif key in ("crater_radius", "crater_strength", "dirt_radius",
-                     "dirt_strength"):
-            lo, hi = (float(v) for v in val.split(","))
-            setattr(cfg, key, (lo, hi))
-        elif key == "format":
-            cfg.file_format = val
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
     return cfg
 
 
@@ -529,9 +538,8 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
                                        frequency=f, phase=psi, patch_id=patch_id,
                                        origin_col=origin, seed=noise_seed)
                         patch = inject_defect(recipe, spec, defect)
-                    ext = "pgm" if cfg.file_format == "pgm" else "csv"
-                    fname = f"patches/{patch_id}.{ext}"
-                    if cfg.file_format == "pgm":
+                    fname = f"patches/{patch_id}.{cfg.format}"
+                    if cfg.format == "pgm":
                         write_patch_pgm(patch, out / fname, lo, hi)
                     else:
                         write_patch_csv(patch, out / fname)
@@ -579,6 +587,9 @@ def load_dataset(manifest_path: str | Path, transpose: bool = False) -> list[Pat
             seed = int(row["seed"]) if row.get("seed") else None
         except ValueError as exc:
             raise DataError(f"{where}: malformed manifest row ({exc})") from exc
+        problem = channel_problem(frequency, phase)
+        if problem:
+            raise DataError(f"{where}: {problem}")
         if "\0" in row["file"]:
             raise DataError(f"{where}: file name {row['file']!r} holds a NUL byte")
         if path.suffix == ".pgm":

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import edfdetect.classifier as classifier
 import edfdetect.cli as cli
+import edfdetect.synth as synth
 from edfdetect.errors import DegenerateGcvError
 from edfdetect.features import read_features_csv, write_features_csv
 
@@ -229,7 +230,8 @@ def test_evaluate_without_seed_is_config_error(pipeline):
 
 
 @pytest.mark.parametrize("column, value", [(4, "x91"), (2, "eight"),
-                                           (3, ""), (5, "nan?")])
+                                           (3, ""), (5, "nan?"), (2, "inf"),
+                                           (2, "0.0"), (3, "nan")])
 def test_malformed_feature_field_is_data_error(pipeline, tmp_path, capsys,
                                                column, value):
     _, _, _, feats = pipeline
@@ -277,7 +279,8 @@ TINY = ["--set", "m=31", "--set", "count_defect_free=2", "--set", "count_dirt=2"
     "center_jitter=nan", "crater_radius=nan,nan", "amplitude=1e308",
     "offset=1e308", "amplitude=0", "noise_sigma=-1", "frequencies=1e308",
     "frequencies=1e306", "pattern_width=100000000000000000000",
-    "frequencies=1e306 pattern_width=1000"])
+    "frequencies=1e306 pattern_width=1000", "crater_radius=1e308,1e308",
+    "dirt_radius=1e-300,1e-300", "phases=1e308 dirt_strength=1e308,1e308"])
 def test_bad_generation_value_is_config_error(tmp_path, capsys, setting):
     ds = tmp_path / "ds"
     sets = [arg for pair in setting.split() for arg in ("--set", pair)]
@@ -359,6 +362,51 @@ def test_evaluate_config_error_names_file_line(pipeline, tmp_path, capsys):
     assert f"{cfg}:2:" in _one_error_line(capsys)["message"]
 
 
+@pytest.mark.parametrize("command, text", [
+    ("generate", b"m=31\ncount_dirt=\xff2\n"),
+    ("evaluate", b"seed=3\nruns=\xff2\n"),
+])
+def test_config_file_that_is_not_utf8_is_config_error(pipeline, tmp_path, capsys,
+                                                      command, text):
+    _, _, _, feats = pipeline
+    cfg = tmp_path / "x.cfg"
+    cfg.write_bytes(text)
+    args = {"generate": ["--seed", "1"], "evaluate": ["--features", str(feats)]}
+    capsys.readouterr()
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   *args[command]])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"{cfg}:2: not UTF-8 text")
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--train-frac", "nan"], None), (["--train-frac", "inf"], None),
+    (["--train-frac", "1e400"], None), ([], "train_frac=nan\n"),
+])
+def test_non_finite_train_frac_is_data_error(pipeline, tmp_path, capsys, flags,
+                                             config):
+    _, _, _, feats = pipeline
+    if config is not None:
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(config)
+        flags = [*flags, "--config", str(cfg)]
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--features", str(feats), "--seed", "1",
+                   "--out", str(tmp_path / "r.json"), *flags])
+    assert rc == 3
+    assert "train_fraction must be in (0, 1)" in _one_error_line(capsys)["message"]
+
+
+def test_evaluate_keys_are_its_setting_flags():
+    args = cli.build_parser().parse_args(["evaluate", "--features", "f.csv",
+                                          "--out", "r.json", "--merge", " dirt, ,crater"])
+    flags = set(vars(args)) - {"command", "func", "features", "out", "config"}
+    assert flags == set(cli._EVALUATE_KEYS)
+    assert args.merge == cli._EVALUATE_KEYS["merge"]("crater,dirt") == {"crater", "dirt"}
+
+
 def test_classify_reads_shared_features_file_once(pipeline, tmp_path,
                                                   monkeypatch, capsys):
     _, _, _, feats = pipeline
@@ -429,6 +477,11 @@ def test_extract_on_malformed_csv_patch_is_data_error(tmp_path, capsys):
     ("pgm", "patches/p000000.pgm", 2, rb"range \S+", b"range abc",
      "{path}: malformed range comment"),
     ("pgm", "patches/p000000.pgm", 2, rb"range \S+", b"range nan", "{path}: range nan"),
+    ("pgm", "manifest.csv", 2, rb",8\.0,", b",1e999,",
+     "{path}:2: frequency must be in (0, inf), got inf"),
+    ("pgm", "manifest.csv", 3, rb",8\.0,", b",-8,",
+     "{path}:3: frequency must be in (0, inf), got -8.0"),
+    ("pgm", "manifest.csv", 2, rb",3\.14\d*,", b",nan,", "{path}:2: phase must be finite"),
 ])
 def test_extract_on_undecodable_or_non_numeric_input_is_data_error(
         tmp_path, capsys, fmt, target, lineno, old, new, message):
@@ -482,6 +535,7 @@ import sys
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 import edfdetect.cli as cli
+import edfdetect.synth as synth
 assert scipy_modules() == [], scipy_modules()
 root = sys.argv[1]
 assert cli.main(["generate", "--seed", "1", "--out", root + "/ds", "--set", "m=31",
@@ -517,6 +571,7 @@ def test_no_command_imports_scipy(tmp_path):
 _NO_PGM_TABLE = """\
 import sys
 import edfdetect.cli as cli
+import edfdetect.synth as synth
 from edfdetect import synth
 assert cli.main(["extract", "--data", sys.argv[1], "--out", sys.argv[2],
                  "--feature", "colstd"]) == 0
@@ -657,3 +712,43 @@ def test_mutated_dataset_extract_exits_0_or_3_with_one_error_line(tiny_dataset, 
     else:
         assert err == [], err
         read_features_csv(out)
+
+
+_CONFIG_VALUES = (  # well typed for some key, 'auto', or broken
+    b"0", b"2", b"3", b"31", b"0.5", b"8", b"64", b"pi", b"3pi/2", b"-1", b"1e308",
+    b"1e-300", b"8,64", b"0.5,2", b"10,16", b"1e308,1e308", b"pi,0", b"crater",
+    b"crater,dirt", b"dirt,defect_free", b"csv", b"auto",
+    b"nan", b"inf", b"-inf", b"", b"1,2,3", b"nan,1", b"1,inf", b"x", b"3\xff")
+_COMMAND_CONFIGS = {  # key table, base config, flags besides --config and --out
+    "generate": (synth.GENERATION_KEYS, CONFIG_TEXT, ["--seed", "1"]),
+    "evaluate": (cli._EVALUATE_KEYS, "seed=1\nruns=2\n", []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_CONFIGS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_file_exits_0_or_3_with_one_error_line(pipeline, command, data):
+    """Lines of the command's keys or an unknown one, each value well typed,
+    broken or 'auto', appended to a base config that runs."""
+    root, _, _, feats = pipeline
+    keys, base, flags = _COMMAND_CONFIGS[command]
+    lines = data.draw(st.lists(st.tuples(
+        st.sampled_from(sorted(keys) + ["bogus"]), st.sampled_from(_CONFIG_VALUES)),
+        min_size=1, max_size=3))
+    cfg, out = root / f"drawn-{command}.cfg", root / f"drawn-{command}"
+    cfg.write_bytes(base.encode() + b"".join(
+        key.encode() + b"=" + value + b"\n" for key, value in lines))
+    shutil.rmtree(out, ignore_errors=True)
+    if command == "evaluate":
+        flags = [*flags, "--features", str(feats)]
+    rc, err = _run_quietly([command, "--config", str(cfg), "--out", str(out), *flags])
+    assert rc in (0, 3), (rc, err)
+    if rc == 0:
+        assert err == [], err
+        return
+    assert len(err) == 1 and err[0].startswith("ERROR "), err
+    payload = json.loads(err[0].split(" ", 1)[1])
+    assert payload["exit_code"] == 3
+    if command == "generate" and payload["error"] == "ConfigError":
+        assert not out.exists()

@@ -3,7 +3,7 @@
 import hashlib
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ import pytest
 from edfdetect.errors import ConfigError, DataError
 from edfdetect.features import q_for_frequency, standardize_patch
 from edfdetect.splinefit import build_spline_model, select_lambda
-from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
-                             PatternSpec, _pgm_range, apply_config_override,
+from edfdetect.synth import (CRATER, DIRT, GENERATION_KEYS, DefectSpec,
+                             GenerationConfig, PatternSpec, _pgm_range,
                              generate_dataset, generation_config,
                              inject_defect, load_dataset, parse_key_values,
                              phase_field, read_patch_csv, read_patch_pgm,
@@ -274,7 +274,7 @@ def test_generate_dataset_zero_count_class_absent(tmp_path):
 
 
 def test_generate_dataset_csv_format(tmp_path):
-    cfg = small_config(file_format="csv")
+    cfg = small_config(format="csv")
     manifest = generate_dataset(cfg, seed=5, out_dir=tmp_path / "ds")
     patches = load_dataset(manifest)
     assert len(patches) == 14
@@ -312,10 +312,14 @@ def test_config_auto_channel_defaults():
     assert spec64.pattern_width == 1456
     assert spec8.noise_sigma > spec64.noise_sigma
     assert cfg.dirt_radius_for(8.0)[0] > cfg.dirt_radius_for(64.0)[0]
-    cfg2 = apply_config_override(GenerationConfig(), "pattern_width", "500")
+    cfg2 = _parse_config("pattern_width=500")
     assert cfg2.channel_spec(8.0, 0.0).pattern_width == 500
-    cfg3 = apply_config_override(cfg2, "pattern_width", "auto")
+    cfg3 = _parse_config("pattern_width=auto")
     assert cfg3.channel_spec(8.0, 0.0).pattern_width == 364
+
+
+def test_generation_keys_are_the_config_fields():
+    assert set(GENERATION_KEYS) == {f.name for f in fields(GenerationConfig)}
 
 
 def test_default_counts_follow_plant_proportions():
@@ -335,7 +339,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         small_config(crater_strength=(2.0, 1.0)).validate()
     with pytest.raises(ConfigError):
-        small_config(file_format="png").validate()
+        small_config(format="png").validate()
 
 
 @pytest.mark.parametrize("body", [
