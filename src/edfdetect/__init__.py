@@ -19,8 +19,7 @@ from .metrics import (EvaluationReport, average_entropy, hard_metrics,
 from .splinefit import (PenalizedFit, SplineModel, build_spline_model,
                         fit_penalized, select_lambda)
 from .synth import (DefectSpec, GenerationConfig, PatternSpec,
-                    generate_dataset, inject_defect, load_dataset,
-                    render_clean_patch)
+                    generate_dataset, load_dataset, render_patch)
 
 __version__ = "0.1.0"
 
@@ -30,8 +29,8 @@ __all__ = [
     "PosteriorVector", "SplineModel", "average_entropy", "build_reference",
     "build_spline_model", "classify_batch", "colstd_features",
     "extract_edf_features", "fit_penalized", "generate_dataset",
-    "hard_metrics", "inject_defect", "load_dataset", "probability_metrics",
-    "q_for_frequency", "read_features_csv", "render_clean_patch",
-    "repeated_evaluation", "select_lambda", "standardize_patch",
-    "stratified_split", "write_features_csv",
+    "hard_metrics", "load_dataset", "probability_metrics", "q_for_frequency",
+    "read_features_csv", "render_patch", "repeated_evaluation",
+    "select_lambda", "standardize_patch", "stratified_split",
+    "write_features_csv",
 ]

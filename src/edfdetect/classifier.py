@@ -101,10 +101,7 @@ def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
             raise DataError(f"reference vector {fv.patch_id!r} is unlabeled")
         labels.append(fv.label)
 
-    classes: list[str] = []
-    for lab in labels:
-        if lab not in classes:
-            classes.append(lab)
+    classes = list(dict.fromkeys(labels))
     if len(classes) < 2:
         raise SingleClassError(f"need >= 2 classes, got {classes}")
 

@@ -23,14 +23,18 @@ from .errors import ConfigError, DataError, NumericError
 
 EXIT_DATA_ERROR = 3
 EXIT_NUMERIC_ERROR = 4
+# Most runs evaluate takes: each run is a split and a classify pass and adds
+# ~0.6 kB to the report, so a million is hours on a plant-size feature set.
+# A larger count is refused before generate_state allocates 4 bytes a run.
+MAX_RUNS = 10**6
 
 
 def derive_run_seeds(seed: int, n_runs: int) -> list[int]:
     """Per-run split seeds derived deterministically from the base seed."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if n_runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {n_runs}")
+    if not 1 <= n_runs <= MAX_RUNS:
+        raise ConfigError(f"runs must be in [1, {MAX_RUNS}], got {n_runs}")
     state = np.random.SeedSequence(seed).generate_state(n_runs)
     return [int(v) for v in state]
 
@@ -120,7 +124,7 @@ def cmd_evaluate(args) -> int:
                                      defect_classes=params["merge"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    json_path = out.with_suffix(".json") if out.suffix != ".json" else out
+    json_path = out.with_suffix(".json")
     report.write_json(json_path)
     report.write_csv(json_path.with_suffix(".csv"))
     print(json_path)

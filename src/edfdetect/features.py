@@ -35,20 +35,13 @@ EDF_FLOOR = 2.0
 
 @dataclass
 class Patch:
-    """One m x m grey-intensity patch plus its channel metadata.
-
-    origin_col and seed record how the patch was rendered (column offset
-    into the full pattern width, noise seed) so a synthetic patch can be
-    re-rendered bit-identically; both stay None for externally loaded data.
-    """
+    """One m x m grey-intensity patch plus its channel metadata."""
 
     pixels: np.ndarray
     frequency: float
     phase: float
     label: str | None = None
     patch_id: str = ""
-    origin_col: int = 0
-    seed: int | None = None
     degenerate: bool = False
 
     @property
@@ -56,8 +49,9 @@ class Patch:
         return self.pixels.shape[0]
 
     def validate(self) -> None:
-        if self.pixels.ndim != 2 or self.pixels.shape[0] != self.pixels.shape[1]:
-            raise DataError(f"patch pixels must be square, got {self.pixels.shape}")
+        shape = self.pixels.shape
+        if len(shape) != 2 or not 2 <= shape[0] == shape[1]:
+            raise DataError(f"patch pixels must be square with side >= 2, got {shape}")
         if not np.isfinite(self.pixels).all():
             raise DataError(f"patch {self.patch_id!r} has non-finite pixels")
 
@@ -86,16 +80,20 @@ def standardize_patch(patch: Patch) -> Patch:
     The denominator is the sample form (m^2 - 1). Reductions run over the
     sorted pixel values so the result is exactly invariant to pixel
     permutations (rows of a shuffled patch standardize bit-identically).
-    A constant patch cannot be scaled; it comes back as the zero patch with
-    the degenerate flag set.
+    The pixels are first scaled by 2^-k, with k the binary exponent of
+    max|pixel|, so that the sums cannot overflow; the scaling is exact and
+    cancels in the result. A constant patch (std under the tolerance, in
+    pixel units) cannot be scaled; it comes back as the zero patch with the
+    degenerate flag set.
     """
     patch.validate()
-    pixels = patch.pixels.astype(float)
+    k = math.frexp(float(np.abs(patch.pixels).max()))[1]
+    pixels = np.ldexp(patch.pixels.astype(float), -k)
     flat = np.sort(pixels, axis=None)
     mean = flat.sum() / flat.size
     var = np.sort((flat - mean) ** 2).sum() / (flat.size - 1)
     std = math.sqrt(var)
-    if std < _CONSTANT_STD_TOL:
+    if std < math.ldexp(_CONSTANT_STD_TOL, -k):
         return replace(patch, pixels=np.zeros_like(pixels), degenerate=True)
     return replace(patch, pixels=(pixels - mean) / std, degenerate=False)
 

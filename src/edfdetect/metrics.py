@@ -104,10 +104,7 @@ def stratified_split(labels: list[str], train_fraction: float,
     (round half up); the remainder goes to validation.
     """
     labels_arr = np.asarray(labels)
-    classes = []
-    for lab in labels:
-        if lab not in classes:
-            classes.append(lab)
+    classes = list(dict.fromkeys(labels))
     rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     val_idx: list[np.ndarray] = []

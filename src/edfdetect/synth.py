@@ -123,49 +123,32 @@ def phase_field(defect: DefectSpec, m: int) -> np.ndarray:
     return defect.strength * bump
 
 
-def _render(spec: PatternSpec, m: int, origin_col: int, phi: np.ndarray | None,
-            seed: int | None) -> np.ndarray:
-    """Pattern plus noise on the m x m grid. phi None renders the clean pattern
-    as one repeated row, bit-identical to phi = 0 since theta + 0.0 is theta."""
-    cols = origin_col + np.arange(m, dtype=float)
-    theta = 2.0 * np.pi * spec.frequency * cols / spec.pattern_width + spec.phase
-    if phi is None:
-        pixels = np.tile(spec.offset + spec.amplitude * np.sin(theta), (m, 1))
-    else:
-        pixels = spec.offset + spec.amplitude * np.sin(theta[None, :] + phi)
-    if spec.noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        pixels = pixels + spec.noise_sigma * rng.standard_normal((m, m))
-    return pixels
+def render_patch(spec: PatternSpec, m: int, origin_col: int = 0,
+                 seed: int | None = None, patch_id: str = "",
+                 defect: DefectSpec | None = None) -> Patch:
+    """Render the m x m patch cut at origin_col from the pattern width.
 
-
-def render_clean_patch(spec: PatternSpec, m: int, origin_col: int = 0,
-                       seed: int | None = None, patch_id: str = "") -> Patch:
-    """Render a defect-free patch cut at origin_col from the pattern width."""
+    Pattern plus the noise drawn from seed, with the defect's phase
+    perturbation inside the sine when one is given. A clean patch tiles one
+    row, bit-identical to a zero-strength defect since theta + 0.0 is theta.
+    """
     spec.validate()
     if origin_col < 0 or origin_col + m > spec.pattern_width:
         raise DataError(
             f"patch [{origin_col}, {origin_col + m}) exceeds pattern width "
             f"{spec.pattern_width}")
-    pixels = _render(spec, m, origin_col, None, seed)
+    cols = origin_col + np.arange(m, dtype=float)
+    theta = 2.0 * np.pi * spec.frequency * cols / spec.pattern_width + spec.phase
+    if defect is None:
+        pixels = np.tile(spec.offset + spec.amplitude * np.sin(theta), (m, 1))
+    else:
+        phi = phase_field(defect, m)
+        pixels = spec.offset + spec.amplitude * np.sin(theta[None, :] + phi)
+    if spec.noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        pixels = pixels + spec.noise_sigma * rng.standard_normal((m, m))
     return Patch(pixels=pixels, frequency=spec.frequency, phase=spec.phase,
-                 label=DEFECT_FREE, patch_id=patch_id, origin_col=origin_col,
-                 seed=seed)
-
-
-def inject_defect(patch: Patch, spec: PatternSpec, defect: DefectSpec) -> Patch:
-    """Re-render the patch with the defect's phase perturbation applied.
-
-    Reads the side, id, origin column and noise seed of the patch, not its
-    pixels; a zero strength defect reproduces the clean patch bit for bit.
-    """
-    spec.validate()
-    m = patch.side
-    phi = phase_field(defect, m)
-    pixels = _render(spec, m, patch.origin_col, phi, patch.seed)
-    return Patch(pixels=pixels, frequency=spec.frequency, phase=spec.phase,
-                 label=defect.kind, patch_id=patch.patch_id,
-                 origin_col=patch.origin_col, seed=patch.seed)
+                 label=defect.kind if defect else DEFECT_FREE, patch_id=patch_id)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +372,9 @@ class GenerationConfig:
                 spec = self.channel_spec(f, psi)
                 spec.validate()
                 width = spec.pattern_width
-                top = 2.0 * math.pi * f * (width - 1) / width + psi   # _render's order
+                top = 2.0 * math.pi * f * (width - 1) / width + psi  # render_patch's order
                 # a defect adds at most its strength (1% over: room for the
-                # crater's sampled peak) to the phase _render takes the sine of
+                # crater's sampled peak) to the phase render_patch takes the sine of
                 reach = max(abs(psi), abs(top)) + 1.01 * max(self.crater_strength[1],
                                                              self.dirt_strength[1])
                 if not math.isfinite(reach):
@@ -526,18 +509,10 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
                     noise_seed, rng = _patch_seed_and_rng(seed, index)
                     origin = int(rng.integers(0, spec.pattern_width - cfg.m + 1))
                     patch_id = f"p{index:06d}"
-                    if label == DEFECT_FREE:
-                        defect = None
-                        patch = render_clean_patch(spec, cfg.m, origin, seed=noise_seed,
-                                                   patch_id=patch_id)
-                    else:
-                        defect = _sample_defect(label, cfg, f, rng)
-                        # inject_defect reads no pixels: the stand-in spares
-                        # rendering a clean patch only to drop it
-                        recipe = Patch(pixels=np.broadcast_to(np.nan, (cfg.m, cfg.m)),
-                                       frequency=f, phase=psi, patch_id=patch_id,
-                                       origin_col=origin, seed=noise_seed)
-                        patch = inject_defect(recipe, spec, defect)
+                    defect = (None if label == DEFECT_FREE
+                              else _sample_defect(label, cfg, f, rng))
+                    patch = render_patch(spec, cfg.m, origin, noise_seed, patch_id,
+                                         defect)
                     fname = f"patches/{patch_id}.{cfg.format}"
                     if cfg.format == "pgm":
                         write_patch_pgm(patch, out / fname, lo, hi)
@@ -583,8 +558,7 @@ def load_dataset(manifest_path: str | Path, transpose: bool = False) -> list[Pat
         try:
             path = base / row["file"]
             frequency, phase = float(row["f"]), float(row["psi"])
-            origin = int(row.get("origin_col") or 0)
-            seed = int(row["seed"]) if row.get("seed") else None
+            side = int(row["m"]) if row.get("m") else None
         except ValueError as exc:
             raise DataError(f"{where}: malformed manifest row ({exc})") from exc
         problem = channel_problem(frequency, phase)
@@ -596,11 +570,12 @@ def load_dataset(manifest_path: str | Path, transpose: bool = False) -> list[Pat
             pixels, _, _ = read_patch_pgm(path)
         else:
             pixels = read_patch_csv(path)
+        if side is not None and pixels.shape != (side, side):
+            raise DataError(f"{where}: {path} holds {pixels.shape[0]}x{pixels.shape[1]} "
+                            f"pixels, not m={side}")
         if transpose:
             pixels = pixels.T
         patches.append(Patch(
             pixels=pixels, frequency=frequency, phase=phase,
-            label=row["label"] or None, patch_id=row["patch_id"],
-            origin_col=origin, seed=seed,
-        ))
+            label=row["label"] or None, patch_id=row["patch_id"]))
     return patches

@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import edfdetect.classifier as classifier
@@ -304,6 +304,11 @@ def test_negative_generate_seed_is_config_error(tmp_path, capsys):
     (["--seed", "3", "--runs", "-1"], None),
     ([], "seed=-1\n"),
     ([], "runs=-2\nseed=3\n"),
+    (["--seed", "3", "--runs", "1000001"], None),
+    (["--seed", "3", "--runs", "1099511627776"], None),
+    (["--seed", "3", "--runs", "9223372036854775808"], None),
+    ([], "runs=1099511627776\nseed=3\n"),
+    ([], "runs=9223372036854775808\nseed=3\n"),
 ])
 def test_bad_evaluate_seed_or_runs_is_config_error(pipeline, tmp_path, capsys,
                                                    flags, config):
@@ -482,6 +487,8 @@ def test_extract_on_malformed_csv_patch_is_data_error(tmp_path, capsys):
     ("pgm", "manifest.csv", 3, rb",8\.0,", b",-8,",
      "{path}:3: frequency must be in (0, inf), got -8.0"),
     ("pgm", "manifest.csv", 2, rb",3\.14\d*,", b",nan,", "{path}:2: phase must be finite"),
+    ("csv", "manifest.csv", 3, rb",31,", b",33,",
+     "{path}:3: {path.parent}/patches/p000001.csv holds 31x31 pixels, not m=33"),
 ])
 def test_extract_on_undecodable_or_non_numeric_input_is_data_error(
         tmp_path, capsys, fmt, target, lineno, old, new, message):
@@ -499,6 +506,40 @@ def test_extract_on_undecodable_or_non_numeric_input_is_data_error(
     payload = _one_error_line(capsys)
     assert payload["error"] == "DataError"
     assert message.format(path=path) in payload["message"], payload["message"]
+
+
+def test_extract_on_pixels_near_the_float_range_writes_finite_features(tmp_path):
+    """A PGM range of 1e308 1.7e308 is an affine map of the pixels, so its
+    features are those of the original patch; a CSV value of 1e308 only has to
+    give finite ones."""
+    for fmt in ("pgm", "csv"):
+        ds = tmp_path / fmt
+        assert cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY,
+                         "--set", f"format={fmt}"]) == 0
+        path = ds / f"patches/p000000.{fmt}"
+        data = path.read_bytes()
+        for feature in ("colstd", "edf"):
+            before = tmp_path / f"{fmt}-{feature}-before.csv"
+            assert cli.main(["extract", "--data", str(ds), "--out", str(before),
+                             "--feature", feature]) == 0
+            if fmt == "pgm":
+                path.write_bytes(re.sub(rb"# range \S+ \S+", b"# range 1e308 1.7e308",
+                                        data))
+            else:
+                path.write_bytes(b"1e308" + data[data.index(b","):])
+            out = tmp_path / f"{fmt}-{feature}.csv"
+            try:
+                rc, err = _run_quietly(["extract", "--data", str(ds), "--out", str(out),
+                                        "--feature", feature])
+            finally:
+                path.write_bytes(data)
+            assert (rc, err) == (0, [])
+            first, *rest = read_features_csv(out)
+            first_before, *rest_before = read_features_csv(before)
+            assert [fv.tau.tolist() for fv in rest] == [
+                fv.tau.tolist() for fv in rest_before]
+            if fmt == "pgm":
+                assert max(abs(first.tau - first_before.tau)) < 1e-9
 
 
 def test_extract_on_manifest_without_f_is_data_error(pipeline, tmp_path, capsys):
@@ -672,7 +713,8 @@ _NON_NUMBERS = (b"abc", b"nan", b"-inf", b"1e999", b"")
 def _mutate_dataset_file(data: bytes, pgm: bool, kind: str, i: int, j: int,
                          byte: int) -> bytes:
     """One corruption of a manifest or a PGM; "number" puts a non-number where a
-    number is read: the PGM's range, or f, psi, origin_col or seed of a manifest row."""
+    number is written: the PGM's range, or f, psi, origin_col or seed of a manifest
+    row (the last two are provenance, which the loader does not read)."""
     sep = b" " if pgm else b","
     if kind != "number":
         return _mutate(data, kind, i, j, byte, sep)
@@ -712,6 +754,60 @@ def test_mutated_dataset_extract_exits_0_or_3_with_one_error_line(tiny_dataset, 
     else:
         assert err == [], err
         read_features_csv(out)
+
+
+_PATCH_CSV_MUTATIONS = ("truncate", "swap", "nan", "inf", "empty", "byte", "text",
+                        "huge", "ragged")
+_PATCH_CSV_VALUES = {"inf": b"-inf", "text": b"abc", "huge": b"1e308"}
+
+
+def _mutate_patch_csv(data: bytes, kind: str, i: int, j: int, byte: int) -> bytes:
+    """One corruption of a patch CSV: a features CSV corruption, or one value
+    set to -inf, a non-number or 1e308, or one value added to a row."""
+    if kind not in _PATCH_CSV_VALUES and kind != "ragged":
+        return _mutate(data, kind, i, j, byte)
+    lines = data.split(b"\n")
+    row = i % (len(lines) - 1)     # the last split is the empty tail
+    tokens = lines[row].split(b",")
+    if kind == "ragged":
+        tokens.append(tokens[j % len(tokens)])
+    else:
+        tokens[j % len(tokens)] = _PATCH_CSV_VALUES[kind]
+    lines[row] = b",".join(tokens)
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def tiny_csv_dataset(tmp_path_factory):
+    ds = tmp_path_factory.mktemp("tiny-csv") / "ds"
+    assert cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY,
+                     "--set", "format=csv"]) == 0
+    return ds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(kind="truncate", i=3, j=0, byte=0)     # one value: a 1x1 patch
+@given(kind=st.sampled_from(_PATCH_CSV_MUTATIONS), i=st.integers(0, 10**6),
+       j=st.integers(0, 10**6), byte=st.integers(0, 255))
+def test_mutated_patch_csv_extract_exits_0_or_3_with_one_error_line(tiny_csv_dataset,
+                                                                    kind, i, j, byte):
+    target = tiny_csv_dataset / "patches/p000000.csv"
+    original = target.read_bytes()
+    target.write_bytes(_mutate_patch_csv(original, kind, i, j, byte))
+    try:
+        for feature in ("colstd", "edf"):
+            out = tiny_csv_dataset.parent / f"{feature}.csv"
+            rc, err = _run_quietly(["extract", "--data", str(tiny_csv_dataset),
+                                    "--out", str(out), "--feature", feature])
+            assert rc in (0, 3), (feature, rc, err)
+            if rc == 3:
+                assert len(err) == 1 and err[0].startswith("ERROR "), (feature, err)
+                assert json.loads(err[0].split(" ", 1)[1])["exit_code"] == 3
+            else:
+                assert err == [], (feature, err)
+                read_features_csv(out)
+    finally:
+        target.write_bytes(original)
 
 
 _CONFIG_VALUES = (  # well typed for some key, 'auto', or broken

@@ -9,8 +9,7 @@ from edfdetect.features import (Patch, colstd_features, extract_edf_features,
                                 q_for_frequency, read_features_csv,
                                 standardize_patch, write_features_csv)
 from edfdetect.splinefit import build_spline_model, select_lambda
-from edfdetect.synth import (CRATER, DefectSpec, GenerationConfig,
-                             inject_defect, render_clean_patch)
+from edfdetect.synth import CRATER, DefectSpec, GenerationConfig, render_patch
 
 F8_SPEC = GenerationConfig().channel_spec(8.0, np.pi)
 
@@ -54,6 +53,23 @@ def test_standardize_affine_invariance():
     np.testing.assert_allclose(a.pixels, b.pixels, atol=1e-10)
 
 
+def test_standardize_is_exact_under_power_of_two_scaling():
+    # the sums run on pixels scaled by 2^-k, so near the float range they
+    # cannot overflow, and a tiny-amplitude patch is still constant in pixel units
+    pixels = np.random.default_rng(1).standard_normal((31, 31))
+    out = standardize_patch(make_patch(pixels))
+    for scale in (2.0**1020, 2.0**-30):
+        assert np.array_equal(standardize_patch(make_patch(scale * pixels)).pixels,
+                              out.pixels)
+    assert standardize_patch(make_patch(1e-13 * pixels)).degenerate
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (0, 0), (31, 30), (31,)])
+def test_standardize_needs_a_square_of_side_two_or_more(shape):
+    with pytest.raises(DataError, match="side >= 2"):
+        standardize_patch(make_patch(np.ones(shape)))
+
+
 @pytest.mark.parametrize("f,q", [(8, 20), (16, 30), (32, 30), (33, 40), (64, 40),
                                  (0.5, 20), (9, 30)])
 def test_q_for_frequency(f, q):
@@ -69,7 +85,7 @@ def test_defect_free_rows_noiseless_are_homogeneous():
     # without pixel noise every row is the same sinusoid, so tau is constant
     from dataclasses import replace
     spec = replace(F8_SPEC, noise_sigma=0.0)
-    patch = render_clean_patch(spec, 91, origin_col=50, seed=0)
+    patch = render_patch(spec, 91, origin_col=50, seed=0)
     fv = extract_edf_features(patch)
     assert fv.tau.max() - fv.tau.min() <= 0.05
 
@@ -77,16 +93,16 @@ def test_defect_free_rows_noiseless_are_homogeneous():
 def test_defect_free_rows_noisy_spread_within_calibrated_band():
     # noisy rows jitter through the GCV selection; bound fixed by the
     # calibration sweep in docs/calibration.md
-    patch = render_clean_patch(F8_SPEC, 91, origin_col=50, seed=0)
+    patch = render_patch(F8_SPEC, 91, origin_col=50, seed=0)
     fv = extract_edf_features(patch)
     assert fv.tau.max() - fv.tau.min() <= 0.55
     assert fv.tau.max() == 1.0
 
 
 def test_crater_rows_are_the_wiggliest():
-    patch = render_clean_patch(F8_SPEC, 91, origin_col=50, seed=0)
     crater = DefectSpec(CRATER, (41.0, 45.0), radius=13.0, strength=2.75)
-    fv = extract_edf_features(inject_defect(patch, F8_SPEC, crater))
+    fv = extract_edf_features(render_patch(F8_SPEC, 91, origin_col=50, seed=0,
+                                           defect=crater))
     peak_row = int(np.argmax(fv.tau))
     assert 41 - 13 <= peak_row <= 41 + 13  # max sits inside the crater footprint
     assert fv.tau[41] > fv.tau[:10].mean()
@@ -98,9 +114,9 @@ def test_crater_rows_are_the_wiggliest():
                    "centre; the footprint-level property is asserted above",
                    strict=False)
 def test_crater_centre_row_scales_to_exactly_one():
-    patch = render_clean_patch(F8_SPEC, 91, origin_col=50, seed=0)
     crater = DefectSpec(CRATER, (41.0, 45.0), radius=13.0, strength=2.75)
-    fv = extract_edf_features(inject_defect(patch, F8_SPEC, crater))
+    fv = extract_edf_features(render_patch(F8_SPEC, 91, origin_col=50, seed=0,
+                                           defect=crater))
     assert fv.tau[41] == 1.0
 
 

@@ -15,7 +15,7 @@ from edfdetect.splinefit import (_GAUSS2_NODES, LAMBDA_GRID, SplineModel,
                                  _slope_bisect, build_spline_model,
                                  fit_penalized, select_lambda)
 from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
-                             inject_defect, render_clean_patch)
+                             render_patch)
 
 
 def brute_force_penalty(model, n_grid=100_000):
@@ -239,14 +239,13 @@ def test_select_matches_fine_grid():
 def test_select_clean_row_smoother_than_bumped_row():
     # f=8 channel patch; a mid-row phase bump must cost degrees of freedom
     from edfdetect.features import standardize_patch
-    from edfdetect.synth import (DefectSpec, GenerationConfig, inject_defect,
-                                 render_clean_patch)
+    from edfdetect.synth import DefectSpec, GenerationConfig, render_patch
     spec = GenerationConfig().channel_spec(8.0, np.pi)
-    patch = render_clean_patch(spec, 91, origin_col=50, seed=3)
+    patch = render_patch(spec, 91, origin_col=50, seed=3)
     model = build_spline_model(91, 20)
     clean_edf = select_lambda(model, standardize_patch(patch).pixels[45]).edf
     bump = DefectSpec("dirt", (45.0, 45.0), radius=5.0, strength=1.0)
-    bumped = inject_defect(patch, spec, bump)
+    bumped = render_patch(spec, 91, origin_col=50, seed=3, defect=bump)
     bumped_edf = select_lambda(model, standardize_patch(bumped).pixels[45]).edf
     assert clean_edf < bumped_edf
 
@@ -402,11 +401,11 @@ def _oracle_select(model, z):
 
 def _oracle_rows(f):
     spec = GenerationConfig().channel_spec(f, np.pi)
-    clean = render_clean_patch(spec, 91, origin_col=20, seed=4)
+    clean = render_patch(spec, 91, origin_col=20, seed=4)
     dirt = DefectSpec(DIRT, (45.0, 40.0), radius=9.0, strength=3.0)
     crater = DefectSpec(CRATER, (50.0, 45.0), radius=13.0, strength=3.0)
-    patches = [clean, inject_defect(clean, spec, dirt),
-               inject_defect(clean, spec, crater)]
+    patches = [clean, render_patch(spec, 91, origin_col=20, seed=4, defect=dirt),
+               render_patch(spec, 91, origin_col=20, seed=4, defect=crater)]
     spike = np.zeros(91)
     spike[45] = 1.0
     extra = [0.3 + 0.05 * np.arange(1.0, 92.0), _noise_row(), spike]

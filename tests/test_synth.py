@@ -14,16 +14,15 @@ from edfdetect.splinefit import build_spline_model, select_lambda
 from edfdetect.synth import (CRATER, DIRT, GENERATION_KEYS, DefectSpec,
                              GenerationConfig, PatternSpec, _pgm_range,
                              generate_dataset, generation_config,
-                             inject_defect, load_dataset, parse_key_values,
-                             phase_field, read_patch_csv, read_patch_pgm,
-                             render_clean_patch, write_patch_csv,
-                             write_patch_pgm)
+                             load_dataset, parse_key_values, phase_field,
+                             read_patch_csv, read_patch_pgm, render_patch,
+                             write_patch_csv, write_patch_pgm)
 
 
 def test_render_matches_stated_formula():
     spec = PatternSpec(offset=0.5, amplitude=0.5, frequency=8.0, phase=0.0,
                        pattern_width=91, noise_sigma=0.0)
-    patch = render_clean_patch(spec, 91, origin_col=0)
+    patch = render_patch(spec, 91, origin_col=0)
     c = np.arange(91)
     expected = 0.5 + 0.5 * np.sin(2 * np.pi * 8.0 * c / 91)
     for r in range(91):
@@ -33,15 +32,15 @@ def test_render_matches_stated_formula():
 def test_phase_pi_flips_sign_about_offset():
     base = PatternSpec(frequency=8.0, phase=0.0, pattern_width=364, noise_sigma=0.0)
     flipped = replace(base, phase=math.pi)
-    p0 = render_clean_patch(base, 91, origin_col=10)
-    p1 = render_clean_patch(flipped, 91, origin_col=10)
+    p0 = render_patch(base, 91, origin_col=10)
+    p1 = render_patch(flipped, 91, origin_col=10)
     np.testing.assert_allclose(p1.pixels - 0.5, -(p0.pixels - 0.5), atol=1e-12)
 
 
 def test_frequency_scales_zero_crossings():
     def crossings(f):
         spec = PatternSpec(frequency=f, phase=0.0, pattern_width=728, noise_sigma=0.0)
-        row = render_clean_patch(spec, 91, origin_col=0).pixels[0] - 0.5
+        row = render_patch(spec, 91, origin_col=0).pixels[0] - 0.5
         return int(np.sum(np.diff(np.sign(row)) != 0))
 
     assert crossings(64.0) == 8 * crossings(8.0)
@@ -49,17 +48,17 @@ def test_frequency_scales_zero_crossings():
 
 def test_rows_identical_without_noise():
     spec = PatternSpec(frequency=16.0, phase=1.0, pattern_width=500, noise_sigma=0.0)
-    patch = render_clean_patch(spec, 51, origin_col=100)
+    patch = render_patch(spec, 51, origin_col=100)
     assert np.all(patch.pixels == patch.pixels[0])
 
 
 def test_pattern_periodicity():
     spec = PatternSpec(frequency=8.0, phase=0.3, pattern_width=728, noise_sigma=0.0)
-    patch = render_clean_patch(spec, 91, origin_col=0)
+    patch = render_patch(spec, 91, origin_col=0)
     period = 728 // 8  # = 91: column c and c + period match where both exist
     assert period == 91
     wide = PatternSpec(frequency=8.0, phase=0.3, pattern_width=248, noise_sigma=0.0)
-    p2 = render_clean_patch(wide, 91, origin_col=0)
+    p2 = render_patch(wide, 91, origin_col=0)
     step = 248 // 8
     np.testing.assert_allclose(p2.pixels[0, :91 - step], p2.pixels[0, step:],
                                atol=1e-12)
@@ -68,7 +67,7 @@ def test_pattern_periodicity():
 def test_intensity_range_without_noise():
     spec = PatternSpec(offset=0.4, amplitude=0.3, frequency=32.0,
                        pattern_width=364, noise_sigma=0.0)
-    patch = render_clean_patch(spec, 91, origin_col=5)
+    patch = render_patch(spec, 91, origin_col=5)
     assert patch.pixels.min() >= 0.4 - 0.3 - 1e-12
     assert patch.pixels.max() <= 0.4 + 0.3 + 1e-12
 
@@ -76,15 +75,15 @@ def test_intensity_range_without_noise():
 def test_patch_exceeding_pattern_width_rejected():
     spec = PatternSpec(pattern_width=100)
     with pytest.raises(DataError):
-        render_clean_patch(spec, 91, origin_col=20)
+        render_patch(spec, 91, origin_col=20)
 
 
 def test_zero_strength_defect_is_bit_identical():
     spec = PatternSpec(frequency=16.0, phase=math.pi, pattern_width=485,
                        noise_sigma=0.06)
-    clean = render_clean_patch(spec, 91, origin_col=30, seed=99)
-    injected = inject_defect(clean, spec,
-                             DefectSpec(CRATER, (45.0, 45.0), 10.0, 0.0))
+    clean = render_patch(spec, 91, origin_col=30, seed=99)
+    injected = render_patch(spec, 91, origin_col=30, seed=99,
+                            defect=DefectSpec(CRATER, (45.0, 45.0), 10.0, 0.0))
     assert np.array_equal(clean.pixels, injected.pixels)
 
 
@@ -93,9 +92,9 @@ def test_defect_locality():
     # radius, and nothing changes outside the support disk
     spec = PatternSpec(frequency=16.0, phase=math.pi, pattern_width=485,
                        noise_sigma=0.0)
-    clean = render_clean_patch(spec, 91, origin_col=30, seed=1)
+    clean = render_patch(spec, 91, origin_col=30, seed=1)
     crater = DefectSpec(CRATER, (45.0, 45.0), radius=10.0, strength=1.0)
-    distorted = inject_defect(clean, spec, crater)
+    distorted = render_patch(spec, 91, origin_col=30, seed=1, defect=crater)
     diff = np.abs(distorted.pixels - clean.pixels)
     mid = diff[45]
     cols = np.arange(91)
@@ -111,7 +110,7 @@ def test_defect_row_edf_gap_at_default_strength():
     # the centre-row EDF well clear of the clean row
     cfg = GenerationConfig()
     spec = cfg.channel_spec(16.0, math.pi)
-    clean = render_clean_patch(spec, 91, origin_col=30, seed=5)
+    clean = render_patch(spec, 91, origin_col=30, seed=5)
     strength = sum(cfg.crater_strength) / 2
     crater = DefectSpec(CRATER, (45.0, 45.0), radius=10.0, strength=strength)
     model = build_spline_model(91, q_for_frequency(16.0))
@@ -119,7 +118,8 @@ def test_defect_row_edf_gap_at_default_strength():
     def centre_row_edf(patch):
         return select_lambda(model, standardize_patch(patch).pixels[45]).edf
 
-    gap = centre_row_edf(inject_defect(clean, spec, crater)) - centre_row_edf(clean)
+    crater_patch = render_patch(spec, 91, origin_col=30, seed=5, defect=crater)
+    gap = centre_row_edf(crater_patch) - centre_row_edf(clean)
     assert gap >= 2.0
 
 
@@ -154,7 +154,7 @@ def test_defect_center_outside_patch_rejected():
 
 def test_pgm_round_trip(tmp_path):
     spec = PatternSpec(frequency=8.0, pattern_width=364, noise_sigma=0.01)
-    patch = render_clean_patch(spec, 31, origin_col=3, seed=11)
+    patch = render_patch(spec, 31, origin_col=3, seed=11)
     lo, hi = 0.5 - 0.5 - 0.04, 0.5 + 0.5 + 0.04
     path = tmp_path / "p.pgm"
     write_patch_pgm(patch, path, lo, hi)
@@ -179,7 +179,7 @@ def _first_written_pgm(patch, path, lo, hi):
 @pytest.mark.parametrize("m", [31, 91])
 def test_pgm_writer_matches_first_written_oracle(tmp_path, m, case):
     spec = PatternSpec(frequency=8.0, pattern_width=364, noise_sigma=0.05)
-    patch = render_clean_patch(spec, m, origin_col=7, seed=m)
+    patch = render_patch(spec, m, origin_col=7, seed=m)
     lo, hi = _pgm_range(spec)
     if case == "clipped":
         lo, hi = 0.25, 0.75          # the sinusoid runs past both ends
@@ -200,7 +200,7 @@ def test_pgm_writer_matches_first_written_oracle(tmp_path, m, case):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_pgm_writer_rejects_pixels_without_grey_level(tmp_path):
-    patch = render_clean_patch(PatternSpec(pattern_width=364), 31)
+    patch = render_patch(PatternSpec(pattern_width=364), 31)
     path = tmp_path / "p.pgm"
     with pytest.raises(DataError, match=re.escape(str(path))):
         write_patch_pgm(patch, path, -math.inf, math.inf)
@@ -211,8 +211,8 @@ def test_pgm_writer_rejects_pixels_without_grey_level(tmp_path):
 
 def test_patch_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    patch = render_clean_patch(PatternSpec(pattern_width=364, noise_sigma=0.0),
-                               31, origin_col=0)
+    patch = render_patch(PatternSpec(pattern_width=364, noise_sigma=0.0),
+                         31, origin_col=0)
     path = tmp_path / "p.csv"
     write_patch_csv(patch, path)
     np.testing.assert_array_equal(read_patch_csv(path), patch.pixels)
@@ -365,7 +365,7 @@ def test_malformed_pgm_is_data_error_naming_path(tmp_path, body):
     (lambda lines: lines.__setitem__(4, lines[4].rsplit(",", 1)[0]), 5),
 ], ids=["non-numeric", "ragged"])
 def test_malformed_patch_csv_is_data_error_naming_line(tmp_path, edit, lineno):
-    patch = render_clean_patch(PatternSpec(pattern_width=364), 31)
+    patch = render_patch(PatternSpec(pattern_width=364), 31)
     path = tmp_path / "p.csv"
     write_patch_csv(patch, path)
     lines = path.read_text().splitlines()
@@ -377,7 +377,7 @@ def test_malformed_patch_csv_is_data_error_naming_line(tmp_path, edit, lineno):
 
 def test_patch_csv_parse_error_is_data_error_naming_path(tmp_path):
     # A stray quote opens a field that runs past csv's field size limit.
-    patch = render_clean_patch(PatternSpec(pattern_width=728), 91)
+    patch = render_patch(PatternSpec(pattern_width=728), 91)
     path = tmp_path / "p.csv"
     write_patch_csv(patch, path)
     lines = path.read_text().splitlines()
@@ -405,7 +405,7 @@ def test_manifest_missing_column_is_data_error(tmp_path, column):
         load_dataset(manifest)
 
 
-@pytest.mark.parametrize("column", ["f", "psi", "origin_col", "seed"])
+@pytest.mark.parametrize("column", ["f", "psi"])
 def test_manifest_non_numeric_field_is_data_error_naming_line(tmp_path, column):
     manifest, lines = _manifest_rows(tmp_path)
     pos = lines[0].split(",").index(column)
