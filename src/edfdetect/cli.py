@@ -114,6 +114,9 @@ def _evaluate_params(args) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    out = Path(args.out)
+    if out.name in ("", ".."):  # "", ".", "/" and ".." name a directory, not a file
+        raise ConfigError(f"--out must name a report file, got {args.out!r}")
     vectors = [fv for fv in feat.read_features_csv(args.features) if fv.label]
     if not vectors:
         raise DataError(f"{args.features}: no labeled feature vectors")
@@ -122,7 +125,6 @@ def cmd_evaluate(args) -> int:
     report = met.repeated_evaluation(vectors, seeds=seeds,
                                      train_fraction=params["train_frac"],
                                      defect_classes=params["merge"])
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     json_path = out.with_suffix(".json")
     report.write_json(json_path)

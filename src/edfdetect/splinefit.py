@@ -14,9 +14,17 @@ X (X'X + lam S)^-1 X', is what downstream feature extraction consumes:
 wigglier rows need more degrees of freedom.
 
 The smoothing parameter is selected by minimizing the GCV score
-m * rss / (m - edf)^2 over a geometric grid, then refining between the grid
-neighbours of the minimizer by bisecting the analytic GCV slope in
-log-lambda (a value-only golden-section pass serves as the fallback).
+m * rss / (m - edf)^2 over a geometric grid (Craven & Wahba 1979), then
+refining between the grid neighbours of the minimizer at a zero of the
+analytic GCV slope in log-lambda (a value-only golden-section pass serves
+as the fallback). The zero is found in two phases: Illinois regula falsi
+(Dowell & Jarratt 1971) narrows a sign-change bracket to the tolerance,
+then bisection's own path from the grid neighbours is replayed, calling
+the slope only for midpoints near that bracket. The answer is therefore a
+bisection point, the one plain bisection returns whenever the slope keeps
+its sign more than 4 tol away from the bracket, found with about 15 slope
+calls instead of 45; unlike a secant point, it does not move with the last
+bits of the row.
 
 Internally each model carries a one-off spectral factorization: with
 X'X = R'R (Cholesky) and R^{-T} S R^{-1} = U diag(g) U', every quantity of
@@ -282,24 +290,55 @@ def _golden_minimize(fun, lo: float, hi: float, tol: float = 1e-9) -> float:
     return (a + b) / 2.0
 
 
-def _slope_bisect(slope, lo: float, hi: float, tol: float = 1e-13) -> float | None:
+def _slope_root(slope, lo: float, hi: float, tol: float = 1e-13) -> float | None:
     """Zero of the GCV slope inside [lo, hi], or None without a sign change.
 
-    The stationary point is a continuous function of the data, unlike the
-    comparison path of a value-only search, so the returned point is stable
-    under last-ulp perturbations of the row being smoothed.
+    Returns a point of bisection's path from [lo, hi] down to width tol: the
+    one plain bisection returns, unless the slope changes sign more than
+    4 tol away from the bracket of phase 1.
+
+    Phase 1 narrows a bracket slope(a) < 0 <= slope(b) to width tol by
+    Illinois regula falsi. A secant point is kept at least tol/2 inside the
+    bracket, and the midpoint is taken instead when a bracket value is not
+    finite or the last three points did not halve the bracket, so a point
+    beside the root or a nan does not stall the loop. Phase 2 replays
+    bisection from [lo, hi]: a midpoint more than 4 tol outside [a, b] takes
+    the side it lies on without a call, and only midpoints near the bracket
+    are evaluated. A bisection point moves continuously with the data,
+    unlike the comparison path of a value-only search or a secant point, so
+    the answer is stable under last-ulp perturbations of the row.
     """
     s_lo, s_hi = slope(lo), slope(hi)
     if not (s_lo < 0.0 < s_hi):
         return None
-    a, b = lo, hi
+    a, b, fa, fb, side = lo, hi, s_lo, s_hi, 0
+    spans = [math.inf] * 3  # bracket width before each point so far
     while b - a > tol:
-        mid = (a + b) / 2.0
-        if slope(mid) < 0.0:
-            a = mid
+        x = (a + b) / 2.0
+        if b - a <= spans[-3] / 2.0 and 0.0 < fb - fa < math.inf:
+            x = min(max(b - fb * (b - a) / (fb - fa), a + tol / 2.0), b - tol / 2.0)
+        spans.append(b - a)
+        if not a < x < b:
+            break  # no float lies strictly between a and b
+        fx = slope(x)
+        if fx < 0.0:
+            a, fa = x, fx
+            if side < 0:
+                fb /= 2.0  # Illinois: b kept twice in a row
+            side = -1
         else:
-            b = mid
-    return (a + b) / 2.0
+            b, fb = x, fx
+            if side > 0:
+                fa /= 2.0
+            side = 1
+    left, right = a - 4.0 * tol, b + 4.0 * tol
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if mid <= left or (mid < right and slope(mid) < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
@@ -307,10 +346,11 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
 
     Grid search over LAMBDA_GRID, then one refinement pass in log-lambda
     between the grid neighbours of the minimizer: the stationary point of
-    the GCV curve located by bisection on its analytic slope (falling back
-    to a golden-section pass when the bracket holds no sign change). The
-    refined candidate only replaces the grid minimizer when its score is
-    strictly better; ties resolve toward larger lambda (the smoother fit).
+    the GCV curve, located by _slope_root as the bisection point of a zero
+    of its analytic slope (falling back to a golden-section pass when the
+    bracket holds no sign change). The refined candidate only replaces the
+    grid minimizer when its score is strictly better; ties resolve toward
+    larger lambda (the smoother fit).
     """
     proj = _project(model, z)
     _, w_sq, rss0, rss_floor, _ = proj
@@ -337,7 +377,7 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
         return rss_slope * (m - d.sum()) + 2.0 * rss * edf_slope
 
     lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
-    log_ref = _slope_bisect(gcv_slope_at, lo, hi)
+    log_ref = _slope_root(gcv_slope_at, lo, hi)
     if log_ref is None:
         log_ref = _golden_minimize(gcv_at, lo, hi)
     gcv_ref, lam_ref = gcv_at(log_ref), math.exp(log_ref)

@@ -64,3 +64,23 @@ def test_classify_batch_result_fields():
 
 def test_cli_main_takes_an_argv_list():
     assert list(inspect.signature(cli.main).parameters) == ["argv"]
+
+
+def test_extract_selects_lambda_once_per_row(monkeypatch):
+    # perfbench's splinefit.select_lambda.* spans, its rows_per_s pass and its
+    # stress check all count one select_lambda call per patch row
+    rows = []
+
+    def counting_select(model, z):
+        rows.append(z)
+        return splinefit.select_lambda(model, z)
+
+    monkeypatch.setattr(features, "select_lambda", counting_select)
+    patch = _patch()
+    patch.pixels[5] += 0.1 * np.sin(np.arange(31.0))  # rows differ
+    std = features.standardize_patch(patch)
+    assert not std.degenerate
+    features.extract_edf_features(patch)
+    assert len(rows) == 31
+    for got, want in zip(rows, std.pixels):
+        np.testing.assert_array_equal(got, want)

@@ -404,6 +404,21 @@ def test_non_finite_train_frac_is_data_error(pipeline, tmp_path, capsys, flags,
     assert "train_fraction must be in (0, 1)" in _one_error_line(capsys)["message"]
 
 
+@pytest.mark.parametrize("out", ["", ".", "/", "..", "reports/.."])
+def test_evaluate_out_without_a_file_name_is_config_error(pipeline, tmp_path,
+                                                          monkeypatch, capsys, out):
+    _, _, _, feats = pipeline
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--features", str(feats), "--seed", "1",
+                   "--runs", "1", "--out", out])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == f"--out must name a report file, got {out!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_keys_are_its_setting_flags():
     args = cli.build_parser().parse_args(["evaluate", "--features", "f.csv",
                                           "--out", "r.json", "--merge", " dirt, ,crater"])
