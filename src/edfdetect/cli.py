@@ -9,7 +9,9 @@ machine-readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,40 +61,48 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _extract_one(job):
-    patch, feature_kind, q = job
-    if feature_kind == "colstd":
-        return feat.colstd_features(patch)
-    return feat.extract_edf_features(patch, q=q)
+def _out_file(out: str) -> Path:
+    """--out as a file path, its parent directory made; checked before any input
+    is read, so a path that names no file ("", ".", "/", "..") is refused early."""
+    path = Path(out)
+    if path.name in ("", ".."):
+        raise ConfigError(f"--out must name a file, got {out!r}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def cmd_extract(args) -> int:
+    out = _out_file(args.out)
     manifest = Path(args.data)
     if manifest.is_dir():
         manifest = manifest / "manifest.csv"
     patches = synth.load_dataset(manifest, transpose=args.transpose)
     if not patches:
         raise DataError(f"{manifest}: empty dataset")
-    jobs = [(p, args.feature, args.q) for p in patches]
-    if args.threads > 1:
+    extract = (feat.colstd_features if args.feature == "colstd"
+               else functools.partial(feat.extract_edf_features, q=args.q))
+    # the pool forks all its workers up front, so never more than can do work
+    workers = min(args.threads, len(patches), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            vectors = list(pool.map(_extract_one, jobs, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            vectors = list(pool.map(extract, patches, chunksize=8))
     else:
-        vectors = [_extract_one(job) for job in jobs]
-    feat.write_features_csv(vectors, args.out)
+        vectors = list(map(extract, patches))
+    feat.write_features_csv(vectors, out)
     print(args.out)
     return 0
 
 
 def cmd_classify(args) -> int:
+    out = _out_file(args.out)
     rows = feat.read_features_csv(args.reference)
     ref = load_reference_csv(args.reference, rows)
     same_file = Path(args.queries).resolve() == Path(args.reference).resolve()
     queries = rows if same_file else feat.read_features_csv(args.queries)
     posts = classify_batch(ref, queries, leave_one_out=args.leave_one_out)
-    write_posteriors_csv(posts, ref.classes, args.out)
+    write_posteriors_csv(posts, ref.classes, out)
     print(args.out)
     return 0
 
@@ -114,9 +124,7 @@ def _evaluate_params(args) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    out = Path(args.out)
-    if out.name in ("", ".."):  # "", ".", "/" and ".." name a directory, not a file
-        raise ConfigError(f"--out must name a report file, got {args.out!r}")
+    out = _out_file(args.out)
     vectors = [fv for fv in feat.read_features_csv(args.features) if fv.label]
     if not vectors:
         raise DataError(f"{args.features}: no labeled feature vectors")
@@ -125,12 +133,18 @@ def cmd_evaluate(args) -> int:
     report = met.repeated_evaluation(vectors, seeds=seeds,
                                      train_fraction=params["train_frac"],
                                      defect_classes=params["merge"])
-    out.parent.mkdir(parents=True, exist_ok=True)
     json_path = out.with_suffix(".json")
     report.write_json(json_path)
     report.write_csv(json_path.with_suffix(".csv"))
     print(json_path)
     return 0
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the basis dimension (default: by frequency)")
     ext.add_argument("--transpose", action="store_true",
                      help="transpose patches on load (fringes along columns)")
-    ext.add_argument("--threads", type=int, default=1)
+    ext.add_argument("--threads", type=_at_least_one, default=1,
+                     help="worker processes, at most one per CPU and per patch")
     ext.set_defaults(func=cmd_extract)
 
     cls = sub.add_parser("classify", help="classify query features against a reference")

@@ -32,6 +32,9 @@ _CONSTANT_STD_TOL = 1e-12
 # floored there.
 EDF_FLOOR = 2.0
 
+# Smallest patch side extract_edf_features smooths, and so generate renders.
+MIN_PATCH_SIDE = 31
+
 
 @dataclass
 class Patch:
@@ -42,7 +45,6 @@ class Patch:
     phase: float
     label: str | None = None
     patch_id: str = ""
-    degenerate: bool = False
 
     @property
     def side(self) -> int:
@@ -83,8 +85,8 @@ def standardize_patch(patch: Patch) -> Patch:
     The pixels are first scaled by 2^-k, with k the binary exponent of
     max|pixel|, so that the sums cannot overflow; the scaling is exact and
     cancels in the result. A constant patch (std under the tolerance, in
-    pixel units) cannot be scaled; it comes back as the zero patch with the
-    degenerate flag set.
+    pixel units) cannot be scaled; it comes back as the zero patch, which
+    no other patch gives (one of its pixels is >= sqrt(1 - 1/m^2) std out).
     """
     patch.validate()
     k = math.frexp(float(np.abs(patch.pixels).max()))[1]
@@ -94,8 +96,8 @@ def standardize_patch(patch: Patch) -> Patch:
     var = np.sort((flat - mean) ** 2).sum() / (flat.size - 1)
     std = math.sqrt(var)
     if std < math.ldexp(_CONSTANT_STD_TOL, -k):
-        return replace(patch, pixels=np.zeros_like(pixels), degenerate=True)
-    return replace(patch, pixels=(pixels - mean) / std, degenerate=False)
+        return replace(patch, pixels=np.zeros_like(pixels))
+    return replace(patch, pixels=(pixels - mean) / std)
 
 
 def channel_problem(f: float, psi: float) -> str | None:
@@ -133,11 +135,11 @@ def extract_edf_features(patch: Patch, q: int | None = None) -> FeatureVector:
     EDF = 2; so is every row of a constant patch.
     """
     m = patch.side
-    if m < 31:
-        raise DataError(f"patch side must be >= 31, got {m}")
+    if m < MIN_PATCH_SIDE:
+        raise DataError(f"patch side must be >= {MIN_PATCH_SIDE}, got {m}")
     std = standardize_patch(patch)
     raw = np.full(m, EDF_FLOOR)
-    if not std.degenerate:
+    if std.pixels.any():
         q_eff = q if q is not None else min(q_for_frequency(patch.frequency), m)
         model = _cached_model(m, q_eff)
         for r in range(m):

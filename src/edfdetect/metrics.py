@@ -56,30 +56,21 @@ def probability_metrics(is_defect: list[bool], p_defect: list[float]):
     defect-free points. A rate whose class is absent is returned as None.
     """
     if len(is_defect) != len(p_defect):
-        raise DataError("labels and posteriors must have equal length")
-    if len(is_defect) == 0:
-        raise DataError("empty input")
-    truth = np.asarray(is_defect, dtype=bool)
-    p1 = np.asarray(p_defect, dtype=float)
-    pm = np.where(truth, 1.0 - p1, p1)
-    prob_mer = float(pm.mean())
-    prob_fnr = float((1.0 - p1[truth]).mean()) if truth.any() else None
-    prob_fpr = float(p1[~truth].mean()) if (~truth).any() else None
-    return prob_mer, prob_fpr, prob_fnr
-
-
-def hard_metrics(is_defect: list[bool], predicted_defect: list[bool]):
-    """Conventional counting rates (mer, fpr, fnr); absent classes give None."""
-    if len(is_defect) != len(predicted_defect):
         raise DataError("labels and predictions must have equal length")
     if len(is_defect) == 0:
         raise DataError("empty input")
     truth = np.asarray(is_defect, dtype=bool)
-    pred = np.asarray(predicted_defect, dtype=bool)
-    mer = float((truth != pred).mean())
-    fnr = float((~pred[truth]).mean()) if truth.any() else None
-    fpr = float(pred[~truth].mean()) if (~truth).any() else None
-    return mer, fpr, fnr
+    p1 = np.asarray(p_defect, dtype=float)
+    error = np.where(truth, 1.0 - p1, p1)
+    return (float(error.mean()),
+            float(error[~truth].mean()) if (~truth).any() else None,
+            float(error[truth].mean()) if truth.any() else None)
+
+
+def hard_metrics(is_defect: list[bool], predicted_defect: list[bool]):
+    """Conventional counting rates (mer, fpr, fnr): the probability rates of 0/1
+    posteriors, whose error is 1 exactly where the prediction is wrong."""
+    return probability_metrics(is_defect, np.asarray(predicted_defect, dtype=bool))
 
 
 def average_entropy(posteriors) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -30,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import Patch, channel_problem, csv_rows, q_for_frequency
+from .features import (MIN_PATCH_SIDE, Patch, channel_problem, csv_rows,
+                       q_for_frequency, read_utf8)
 
 DEFECT_FREE = "defect_free"
 CRATER = "crater"
@@ -206,17 +208,13 @@ def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
     """Read a P2 PGM written by write_patch_pgm; returns (pixels, lo, hi)."""
     tokens: list[str] = []
     bounds = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    parts = line.split()
-                    if len(parts) == 4 and parts[1] == "range":
-                        bounds = parts[2:]
-                    continue
-                tokens.extend(line.split())
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text PGM ({exc.reason})") from exc
+    for line in io.StringIO(read_utf8(path), newline=None):
+        if line.startswith("#"):
+            parts = line.split()
+            if len(parts) == 4 and parts[1] == "range":
+                bounds = parts[2:]
+            continue
+        tokens.extend(line.split())
     if not tokens or tokens[0] != "P2":
         raise DataError(f"{path}: not a P2 PGM file")
     if bounds is None:
@@ -288,6 +286,10 @@ _AUTO_NOISE_FRAC = {20: 0.20, 30: 0.12, 40: 0.08}
 _AUTO_DIRT_RADIUS = {20: (8.0, 12.0), 30: (6.0, 10.0), 40: (5.0, 9.0)}
 # Patch origins are drawn with rng.integers, which holds int64 values.
 _MAX_PATTERN_WIDTH = 2**63 - 1
+# Largest patch side: rendering and the PGM writer hold several m x m arrays
+# of 8-byte values at once, 134 MB each at m = 4095, so a larger m is refused
+# before numpy fails to allocate.
+MAX_PATCH_SIDE = 4095
 
 
 @dataclass
@@ -338,8 +340,9 @@ class GenerationConfig:
         return _AUTO_DIRT_RADIUS[q_for_frequency(f)]
 
     def validate(self) -> None:
-        if self.m < 31 or self.m % 2 == 0:
-            raise ConfigError(f"m must be odd and >= 31, got {self.m}")
+        if not MIN_PATCH_SIDE <= self.m <= MAX_PATCH_SIDE or self.m % 2 == 0:
+            raise ConfigError(f"m must be odd and in [{MIN_PATCH_SIDE}, "
+                              f"{MAX_PATCH_SIDE}], got {self.m}")
         if (self.pattern_width is not None
                 and not self.m <= self.pattern_width <= _MAX_PATTERN_WIDTH):
             raise ConfigError("pattern_width must be >= m and <= 2**63 - 1")

@@ -79,7 +79,7 @@ def test_extract_selects_lambda_once_per_row(monkeypatch):
     patch = _patch()
     patch.pixels[5] += 0.1 * np.sin(np.arange(31.0))  # rows differ
     std = features.standardize_patch(patch)
-    assert not std.degenerate
+    assert std.pixels.any()
     features.extract_edf_features(patch)
     assert len(rows) == 31
     for got, want in zip(rows, std.pixels):

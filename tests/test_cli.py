@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a small dataset, exit codes, determinism."""
 
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -196,12 +197,80 @@ def test_extract_transpose_flag(pipeline):
     assert out.read_bytes() != feats.read_bytes()
 
 
-def test_extract_threads_match_serial(pipeline):
+def test_extract_threads_match_serial(pipeline, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # reach the pool on one CPU too
     root, _, ds, feats = pipeline
     out = root / "features_mt.csv"
     assert cli.main(["extract", "--data", str(ds), "--out", str(out),
                      "--threads", "2"]) == 0
     assert out.read_bytes() == feats.read_bytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    ("1000", 64, [18]), ("1000", 2, [2]), ("2", None, []), ("1", 64, [])])
+def test_extract_starts_at_most_one_worker_per_cpu_and_patch(
+        pipeline, tmp_path, monkeypatch, threads, cpus, workers):
+    # no process is started: the pool is a fake, the 18-patch dataset is real
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _, _, ds, feats = pipeline
+    out = tmp_path / "f.csv"
+    assert cli.main(["extract", "--data", str(ds), "--out", str(out),
+                     "--threads", threads]) == 0
+    assert _RecordingPool.workers == workers
+    assert out.read_bytes() == feats.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_extract_threads_below_one_is_usage_error(tmp_path, threads):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["extract", "--data", str(tmp_path), "--out", str(tmp_path / "f.csv"),
+                  "--threads", threads])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["extract", "classify", "evaluate"])
+def test_out_naming_no_file_is_refused_before_any_input_is_read(tmp_path, capsys,
+                                                                command):
+    missing = str(tmp_path / "missing")   # reading it first would be another error
+    inputs = {"extract": ["--data", missing],
+              "classify": ["--reference", missing, "--queries", missing],
+              "evaluate": ["--features", missing, "--seed", "1"]}
+    rc = cli.main([command, *inputs[command], "--out", "."])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == "--out must name a file, got '.'"
+
+
+def test_extract_and_classify_make_the_out_directory(pipeline, tmp_path):
+    _, _, ds, feats = pipeline
+    out = tmp_path / "a" / "b" / "f.csv"
+    assert cli.main(["extract", "--data", str(ds), "--out", str(out)]) == 0
+    assert out.read_bytes() == feats.read_bytes()
+    posts = tmp_path / "c" / "d" / "p.csv"
+    assert cli.main(["classify", "--reference", str(feats), "--queries", str(feats),
+                     "--out", str(posts)]) == 0
+    assert posts.is_file()
 
 
 def test_evaluate_config_file_with_flag_override(pipeline, tmp_path):
@@ -291,6 +360,21 @@ def test_bad_generation_value_is_config_error(tmp_path, capsys, setting):
     assert _one_error_line(capsys)["error"] == "ConfigError"
     assert not ds.exists()
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("source", ["--set", "--config"])
+def test_patch_side_over_the_bound_is_config_error(tmp_path, capsys, source):
+    config = tmp_path / "gen.cfg"
+    config.write_text("m=100001\n")
+    args = {"--set": ["--set", "m=100001"], "--config": ["--config", str(config)]}
+    ds = tmp_path / "ds"
+    rc = cli.main(["generate", "--seed", "1", "--out", str(ds), *args[source]])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == "m must be odd and in [31, 4095], got 100001"
+    assert not ds.exists()
+    synth.GenerationConfig(m=4095).validate()   # the bound itself is accepted
 
 
 def test_negative_generate_seed_is_config_error(tmp_path, capsys):
@@ -415,7 +499,7 @@ def test_evaluate_out_without_a_file_name_is_config_error(pipeline, tmp_path,
     assert rc == 3
     payload = _one_error_line(capsys)
     assert payload["error"] == "ConfigError"
-    assert payload["message"] == f"--out must name a report file, got {out!r}"
+    assert payload["message"] == f"--out must name a file, got {out!r}"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -493,7 +577,7 @@ def test_extract_on_malformed_csv_patch_is_data_error(tmp_path, capsys):
     ("pgm", "manifest.csv", 3, rb",", b",\xff", "{path}:3: not UTF-8 text"),
     ("pgm", "manifest.csv", 2, rb"/p0", b"/p\x000", "{path}:2: file name"),
     ("csv", "patches/p000000.csv", 2, rb",", b",\xff", "{path}:2: not UTF-8 text"),
-    ("pgm", "patches/p000000.pgm", 5, rb" ", b" \xff", "{path}: not a text PGM"),
+    ("pgm", "patches/p000000.pgm", 5, rb" ", b" \xff", "{path}:5: not UTF-8 text"),
     ("pgm", "patches/p000000.pgm", 2, rb"range \S+", b"range abc",
      "{path}: malformed range comment"),
     ("pgm", "patches/p000000.pgm", 2, rb"range \S+", b"range nan", "{path}: range nan"),

@@ -34,7 +34,7 @@ def row_edfs(patch):
 def test_standardize_constant_patch_degenerate():
     patch = make_patch(np.full((31, 31), 5.0))
     out = standardize_patch(patch)
-    assert out.degenerate
+    assert out.pixels.shape == (31, 31)
     assert np.all(out.pixels == 0.0)
 
 
@@ -61,7 +61,7 @@ def test_standardize_is_exact_under_power_of_two_scaling():
     for scale in (2.0**1020, 2.0**-30):
         assert np.array_equal(standardize_patch(make_patch(scale * pixels)).pixels,
                               out.pixels)
-    assert standardize_patch(make_patch(1e-13 * pixels)).degenerate
+    assert not standardize_patch(make_patch(1e-13 * pixels)).pixels.any()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (0, 0), (31, 30), (31,)])
@@ -123,6 +123,16 @@ def test_crater_centre_row_scales_to_exactly_one():
 def test_constant_patch_features_floor():
     fv = extract_edf_features(make_patch(np.full((31, 31), 2.5)))
     np.testing.assert_array_equal(fv.tau, np.ones(31))
+
+
+@pytest.mark.parametrize("tolerances, floored", [(0.0, True), (0.99, True),
+                                                 (1.01, False)])
+def test_only_a_patch_under_the_std_tolerance_is_floored(tolerances, floored):
+    # one pixel d off a constant 31 x 31 patch gives a sample std of d / 31
+    pixels = np.full((31, 31), 5.0)
+    pixels[15, 15] += tolerances * 31 * 1e-12
+    fv = extract_edf_features(make_patch(pixels))
+    assert (fv.tau == 1.0).all() == floored
 
 
 def test_feature_vector_invariants():

@@ -115,6 +115,15 @@ def test_hard_metrics_examples():
     assert fpr == 1.0 and fnr == 0.0
 
 
+@pytest.mark.parametrize("rates", [hard_metrics, probability_metrics])
+@pytest.mark.parametrize("truth, values", [([True, False, True], [1]),
+                                           ([True], [1, 0, 1]), ([], [])])
+def test_rates_need_equal_length_nonempty_inputs(rates, truth, values):
+    # a one-element list must not broadcast against the other side
+    with pytest.raises(DataError, match="equal length|empty input"):
+        rates(truth, values)
+
+
 def test_hard_metrics_match_confusion_tally():
     rng = np.random.default_rng(1)
     truth = rng.random(200) < 0.3
