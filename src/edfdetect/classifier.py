@@ -113,6 +113,16 @@ def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
                              _by_class=by_class)
 
 
+def _grouped_reference(vectors: np.ndarray, classes: tuple[str, ...],
+                       sizes: list[int]) -> LabeledFeatureSet:
+    """A reference of unnamed, checked rows grouped by class: the first
+    sizes[0] rows are classes[0], the next sizes[1] classes[1], and so on."""
+    ends = np.cumsum(sizes)
+    return LabeledFeatureSet(vectors=vectors, classes=classes, patch_ids=(),
+                             _by_class={c: np.arange(e - n, e)
+                                        for c, n, e in zip(classes, sizes, ends)})
+
+
 def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
                    exclude_ids: list[str] | None = None) -> np.ndarray:
     """(n_queries, K) matrix of per-class minimum Euclidean distances.

@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError, NumericError
 
 EXIT_DATA_ERROR = 3
 EXIT_NUMERIC_ERROR = 4
-# Most runs evaluate takes: each run is a split and a classify pass and adds
+# Most runs evaluate takes: each run is a split and a distance pass and adds
 # ~0.6 kB to the report, so a million is hours on a plant-size feature set.
 # A larger count is refused before generate_state allocates 4 bytes a run.
 MAX_RUNS = 10**6
@@ -61,12 +61,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _out_file(out: str) -> Path:
-    """--out as a file path, its parent directory made; checked before any input
-    is read, so a path that names no file ("", ".", "/", "..") is refused early."""
+def _out_file(out: str, suffix: str = "") -> Path:
+    """The file a command writes for --out (given suffix, if any), its parent
+    directory made; checked before any input is read, so a path that names no
+    file ("", ".", "/", "..") or an existing directory is refused early."""
     path = Path(out)
     if path.name in ("", ".."):
         raise ConfigError(f"--out must name a file, got {out!r}")
+    if suffix:
+        path = path.with_suffix(suffix)
+    if path.is_dir():
+        raise ConfigError(f"--out must name a file, got {out!r}: "
+                          f"{str(path)!r} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -124,7 +130,7 @@ def _evaluate_params(args) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_file(args.out)
+    json_path, csv_path = _out_file(args.out, ".json"), _out_file(args.out, ".csv")
     vectors = [fv for fv in feat.read_features_csv(args.features) if fv.label]
     if not vectors:
         raise DataError(f"{args.features}: no labeled feature vectors")
@@ -133,9 +139,8 @@ def cmd_evaluate(args) -> int:
     report = met.repeated_evaluation(vectors, seeds=seeds,
                                      train_fraction=params["train_frac"],
                                      defect_classes=params["merge"])
-    json_path = out.with_suffix(".json")
     report.write_json(json_path)
-    report.write_csv(json_path.with_suffix(".csv"))
+    report.write_csv(csv_path)
     print(json_path)
     return 0
 

@@ -10,6 +10,17 @@ vectors average into a single uncertainty number for a run.
 Defect detection reports the binary view: the crater and dirt posteriors
 are merged into one defect probability, with false negatives counted on
 true defects and false positives on true defect-free patches.
+
+Repeated evaluation draws each run's stratified split, takes its
+validation rows' per-class minimum distances to its training rows, and
+then scores a whole block of runs at once: posteriors, the merged view and
+all ten metrics are computed on the stacked validation rows and reduced
+per run along a (runs, n_val) reshape. Every step is row-wise, so a run
+scores exactly as it would alone. Class order is the one rule that needs
+care: a run's reference orders its classes by first appearance among its
+sorted training indices, which can differ between runs, and the entropy
+and merged-probability sums run in that order. So each run's distance
+columns are put into its own class order before the posteriors.
 """
 
 from __future__ import annotations
@@ -17,35 +28,69 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .classifier import _entropy_rows, build_reference, classify_batch
-from .errors import DataError
+from .classifier import (_entropy_rows, _grouped_reference, _min_distances,
+                         _posteriors)
+from .errors import DataError, DimensionMismatchError, SingleClassError
 from .features import FeatureVector
 
+# Most validation rows, over all its runs, that one scoring pass stacks (a run
+# is never split). A pass holds about a dozen (rows, K) and (rows,) float
+# arrays, under 20 MB at this bound and K = 3; one pass over all runs would
+# hold 11.5 GB in each (rows, 3) array at cli.MAX_RUNS runs of 480 rows.
+_BLOCK_ROWS = 2**16
 
-def _merge_rows(probabilities: np.ndarray, classes: tuple[str, ...],
-                defect_classes: set[str]):
-    """(p_defect, p_defect_free, predicted_defect, entropy) rows of an (n, K) matrix.
 
-    defect_classes must be a nonempty proper subset of the class set; the
-    merged probabilities sum to each row's total, and the binary label is
-    the argmax with ties going to defect.
-    """
+def _defect_mask(classes: tuple[str, ...], defect_classes: set[str]) -> np.ndarray:
+    """Which of classes are defect classes; defect_classes must be a nonempty
+    proper subset of the class set."""
     cl = set(classes)
     if not defect_classes or not defect_classes < cl:
         raise DataError(
             f"defect classes {sorted(defect_classes)} must be a nonempty proper "
             f"subset of {sorted(cl)}")
-    mask = np.array([c in defect_classes for c in classes])
-    p_def = probabilities[:, mask].sum(axis=1)
-    p_free = probabilities[:, ~mask].sum(axis=1)
+    return np.array([c in defect_classes for c in classes])
+
+
+def _merge_rows(probabilities: np.ndarray, is_defect: np.ndarray):
+    """(p_defect, p_defect_free, predicted_defect, entropy) rows of an (n, K) matrix.
+
+    is_defect marks the defect columns, as one (K,) mask or one mask per row;
+    each side is summed in column order, so the merged probabilities sum to
+    each row's total, and the binary label is the argmax with ties going to
+    defect.
+    """
+    mask = np.broadcast_to(is_defect, probabilities.shape)
+    n_def = int(mask[0].sum())
+    # each row's defect columns first, both sides kept in column order
+    sides = np.take_along_axis(probabilities,
+                               np.argsort(~mask, axis=1, kind="stable"), axis=1)
+    p_def = sides[:, :n_def].sum(axis=1)
+    p_free = sides[:, n_def:].sum(axis=1)
     entropy = _entropy_rows(np.column_stack([p_def, p_free]))
     return p_def, p_free, p_def >= p_free, entropy
+
+
+def _rates(truth: np.ndarray, p_defect: np.ndarray):
+    """(mer, fpr, fnr) arrays, one value per row of (runs, n) inputs.
+
+    A point's error is its probability of being wrong; mer averages it over
+    a row, fnr over the row's true defects and fpr over its true defect-free
+    points. Every row holds the same number of true defects; a rate whose
+    class is absent is None.
+    """
+    error = np.where(truth, 1.0 - p_defect, p_defect)
+    n_defect = int(truth[0].sum())
+
+    def side(mask: np.ndarray, count: int):
+        return error[mask].reshape(len(error), count).mean(axis=1) if count else None
+
+    return (error.mean(axis=1), side(~truth, truth.shape[1] - n_defect),
+            side(truth, n_defect))
 
 
 def probability_metrics(is_defect: list[bool], p_defect: list[float]):
@@ -59,12 +104,9 @@ def probability_metrics(is_defect: list[bool], p_defect: list[float]):
         raise DataError("labels and predictions must have equal length")
     if len(is_defect) == 0:
         raise DataError("empty input")
-    truth = np.asarray(is_defect, dtype=bool)
-    p1 = np.asarray(p_defect, dtype=float)
-    error = np.where(truth, 1.0 - p1, p1)
-    return (float(error.mean()),
-            float(error[~truth].mean()) if (~truth).any() else None,
-            float(error[truth].mean()) if truth.any() else None)
+    rates = _rates(np.asarray(is_defect, dtype=bool)[None],
+                   np.asarray(p_defect, dtype=float)[None])
+    return tuple(None if r is None else float(r[0]) for r in rates)
 
 
 def hard_metrics(is_defect: list[bool], predicted_defect: list[bool]):
@@ -87,6 +129,31 @@ def _train_count(n: int, train_fraction: float) -> int:
     return int(math.floor(n * train_fraction + 0.5))
 
 
+def _class_groups(labels: list[str], train_fraction: float):
+    """Classes in order of first appearance, with each one's indices and
+    training count; a class under 2 members or no validation point is refused."""
+    labels_arr = np.asarray(labels)
+    classes = tuple(dict.fromkeys(labels))
+    groups, counts = [], []
+    for c in classes:
+        idx = np.flatnonzero(labels_arr == c)
+        counts.append(_train_count(len(idx), train_fraction))
+        if len(idx) < 2:
+            raise DataError(f"class {c!r} has {len(idx)} member(s); need >= 2")
+        groups.append(idx)
+    if sum(map(len, groups)) == sum(counts):
+        raise DataError(f"train_fraction {train_fraction} leaves no validation points")
+    return classes, groups, counts
+
+
+def _draw_split(groups: list[np.ndarray], counts: list[int], seed: int):
+    """Per-class (train, validation) index parts of one seeded split."""
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(idx) for idx in groups]
+    return ([p[:k] for p, k in zip(perms, counts)],
+            [p[k:] for p, k in zip(perms, counts)])
+
+
 def stratified_split(labels: list[str], train_fraction: float,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-class split; returns sorted (train, validation) indices.
@@ -94,23 +161,10 @@ def stratified_split(labels: list[str], train_fraction: float,
     Each class contributes round(n_j * train_fraction) points to training
     (round half up); the remainder goes to validation.
     """
-    labels_arr = np.asarray(labels)
-    classes = list(dict.fromkeys(labels))
-    rng = np.random.default_rng(seed)
-    train_idx: list[np.ndarray] = []
-    val_idx: list[np.ndarray] = []
-    for c in classes:
-        idx = np.flatnonzero(labels_arr == c)
-        k = _train_count(len(idx), train_fraction)
-        if len(idx) < 2:
-            raise DataError(f"class {c!r} has {len(idx)} member(s); need >= 2")
-        perm = rng.permutation(idx)
-        train_idx.append(perm[:k])
-        val_idx.append(perm[k:])
-    val = np.sort(np.concatenate(val_idx)).astype(int)
-    if not len(val):
-        raise DataError(f"train_fraction {train_fraction} leaves no validation points")
-    return np.sort(np.concatenate(train_idx)).astype(int), val
+    _, groups, counts = _class_groups(labels, train_fraction)
+    train, val = _draw_split(groups, counts, seed)
+    return (np.sort(np.concatenate(train)).astype(int),
+            np.sort(np.concatenate(val)).astype(int))
 
 
 @dataclass
@@ -189,71 +243,106 @@ class EvaluationReport:
                 writer.writerow([name, "se", "" if se is None else repr(se)])
 
 
-def evaluate_single_run(features: list[FeatureVector], seed: int,
-                        train_fraction: float,
-                        defect_classes: set[str]) -> dict[str, float | None]:
-    """One stratified split, classify the validation set, compute all metrics."""
-    labels = [fv.label or "" for fv in features]
-    train_idx, val_idx = stratified_split(labels, train_fraction, seed)
-    ref = build_reference([features[i] for i in train_idx])
-    posts = classify_batch(ref, [features[i] for i in val_idx])
-    probabilities = np.array([p.probabilities for p in posts])
+def _score_runs(dist: np.ndarray, orders: np.ndarray, true_class: np.ndarray,
+                truth: np.ndarray, is_defect: np.ndarray, dim: int) -> dict:
+    """All ten metrics of a block of runs, each a (runs,) array or None.
 
-    true_labels = [labels[i] for i in val_idx]
-    class_pos = {c: j for j, c in enumerate(ref.classes)}
-    true_pos = np.array([class_pos.get(t, -1) for t in true_labels])
-    p_true = np.where(true_pos >= 0,
-                      probabilities[np.arange(len(posts)), true_pos], 0.0)
-    mer_multi = float(np.mean(np.argmax(probabilities, axis=1) != true_pos))
-    prob_mer_multi = float(np.mean(1.0 - p_true))
+    dist holds the runs' stacked validation rows, n_val a run, with columns
+    in the reference's class order; orders[r] lists run r's classes (as
+    columns of dist) in its own order. true_class is each row's column or
+    -1, truth whether it is a defect, is_defect the defect columns.
+    """
+    runs = len(orders)
+    cols = np.repeat(orders, len(dist) // runs, axis=0)   # each row in its run's order
+    p, _, _, entropy = _posteriors(np.take_along_axis(dist, cols, axis=1), dim)
+    true_pos = np.where(true_class >= 0,
+                        np.argmax(cols == true_class[:, None], axis=1), -1)
+    p_true = np.where(true_pos >= 0, p[np.arange(len(p)), true_pos], 0.0)
+    p_def, _, predicted, merged_entropy = _merge_rows(p, is_defect[cols])
 
-    p_def, _, predicted, entropy = _merge_rows(probabilities, ref.classes,
-                                               defect_classes)
-    truth = np.array([t in defect_classes for t in true_labels])
-    mer, fpr, fnr = hard_metrics(truth, predicted)
-    prob_mer, prob_fpr, prob_fnr = probability_metrics(truth, p_def)
+    def by_run(values: np.ndarray) -> np.ndarray:
+        return values.reshape(runs, -1)
+
+    mer, fpr, fnr = _rates(by_run(truth), by_run(predicted.astype(float)))
+    prob_mer, prob_fpr, prob_fnr = _rates(by_run(truth), by_run(p_def))
     return {
         "mer": mer, "fpr": fpr, "fnr": fnr,
         "prob_mer": prob_mer, "prob_fpr": prob_fpr, "prob_fnr": prob_fnr,
-        "avg_entropy": float(np.mean(entropy)),
-        "mer_multiclass": mer_multi,
-        "prob_mer_multiclass": prob_mer_multi,
-        "avg_entropy_multiclass": average_entropy(posts),
+        "avg_entropy": by_run(merged_entropy).mean(axis=1),
+        "mer_multiclass": by_run(np.argmax(p, axis=1) != true_pos).mean(axis=1),
+        "prob_mer_multiclass": by_run(1.0 - p_true).mean(axis=1),
+        "avg_entropy_multiclass": by_run(entropy).mean(axis=1),
     }
 
 
 def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
                         train_fraction: float,
                         defect_classes: set[str]) -> EvaluationReport:
-    """Run split -> classify -> metrics once per seed and aggregate.
+    """One stratified split per seed, each scored on its validation set, and
+    aggregated.
 
     Per-run metric values are kept alongside across-run means and standard
-    errors.
+    errors. What can fail depends on the class counts alone, which every run
+    shares, so it is checked once and reported as run 0's failure.
     """
     if not seeds:
         raise DataError("need at least one seed")
-    # validation points per class under stratified_split's rule, any seed
-    val_counts = {c: n - _train_count(n, train_fraction)
-                  for c, n in Counter(fv.label or "" for fv in features).items()}
-    classes = tuple(val_counts)
-    present_defects = {c for c in classes if c in defect_classes}
+    _train_count(0, train_fraction)     # a bad fraction fails before any run
+    labels = [fv.label or "" for fv in features]
+    try:
+        classes, groups, counts = _class_groups(labels, train_fraction)
+        # every run's reference holds the classes with a training count
+        ref_classes = tuple(c for c, k in zip(classes, counts) if k)
+        if not ref_classes:
+            raise DataError("empty reference set")
+        dim = features[0].dim
+        for fv, label in zip(features, labels):
+            if fv.dim != dim:
+                raise DimensionMismatchError(
+                    f"feature vector {fv.patch_id!r} has dim {fv.dim}, expected {dim}")
+            if fv.label is None and label in ref_classes:
+                raise DataError(f"reference vector {fv.patch_id!r} is unlabeled")
+        if len(ref_classes) < 2:
+            raise SingleClassError(f"need >= 2 classes, got {list(ref_classes)}")
+        present_defects = {c for c in classes if c in defect_classes}
+        is_defect_col = _defect_mask(ref_classes, present_defects)
+    except DataError as exc:
+        raise DataError(f"evaluation run 0 (seed {seeds[0]}) failed: "
+                        f"{exc}") from exc
+
+    vectors = np.array([fv.tau for fv in features], dtype=float)
+    column = {c: j for j, c in enumerate(ref_classes)}
+    true_class = np.array([column.get(label, -1) for label in labels])
+    is_defect_row = np.array([label in present_defects for label in labels])
+    ref_sizes = [k for k in counts if k]
+    n_val = sum(len(g) for g in groups) - sum(counts)
 
     series: dict[str, MetricSeries] = {
         name: MetricSeries() for name in BINARY_METRICS + THREE_CLASS_METRICS}
-    for run, seed in enumerate(seeds):
-        try:
-            result = evaluate_single_run(features, seed, train_fraction,
-                                         present_defects)
-        except DataError as exc:
-            raise DataError(f"evaluation run {run} (seed {seed}) failed: "
-                            f"{exc}") from exc
-        for name, value in result.items():
-            series[name].runs.append(value)
+    per_block = max(1, _BLOCK_ROWS // n_val)
+    for lo in range(0, len(seeds), per_block):
+        dists, orders, val_rows = [], [], []
+        for seed in seeds[lo:lo + per_block]:
+            train, val = _draw_split(groups, counts, seed)
+            train = [np.sort(t) for t in train if len(t)]
+            val = np.sort(np.concatenate(val))
+            ref = _grouped_reference(vectors[np.concatenate(train)], ref_classes,
+                                     ref_sizes)
+            dists.append(_min_distances(ref, vectors[val]))
+            # the run's class order: first appearance among its training rows
+            orders.append(np.argsort([t[0] for t in train]))
+            val_rows.append(val)
+        val = np.concatenate(val_rows)
+        scores = _score_runs(np.concatenate(dists), np.array(orders), true_class[val],
+                             is_defect_row[val], is_defect_col, dim)
+        for name, values in scores.items():
+            series[name].runs.extend(
+                [None] * len(orders) if values is None else map(float, values))
 
-    n_total = sum(val_counts.values())
-    n_defect = sum(val_counts[c] for c in present_defects)
+    n_defect = sum(len(g) - k for c, g, k in zip(classes, groups, counts)
+                   if c in present_defects)
     return EvaluationReport(
         classes=classes, defect_classes=tuple(sorted(present_defects)),
         train_fraction=train_fraction, seeds=tuple(seeds),
-        n_total=n_total, n_defect=n_defect,
-        n_defect_free=n_total - n_defect, metrics=series)
+        n_total=n_val, n_defect=n_defect,
+        n_defect_free=n_val - n_defect, metrics=series)

@@ -262,6 +262,35 @@ def test_out_naming_no_file_is_refused_before_any_input_is_read(tmp_path, capsys
     assert payload["message"] == "--out must name a file, got '.'"
 
 
+@pytest.mark.parametrize("command, written", [
+    ("extract", "out"), ("classify", "out"),
+    ("evaluate", "out.json"), ("evaluate", "out.csv")])
+def test_out_writing_into_a_directory_is_refused_before_any_input_is_read(
+        tmp_path, capsys, command, written):
+    missing = str(tmp_path / "missing")   # reading it first would be a DataError
+    inputs = {"extract": ["--data", missing],
+              "classify": ["--reference", missing, "--queries", missing],
+              "evaluate": ["--features", missing, "--seed", "1"]}
+    (tmp_path / written).mkdir()
+    out = str(tmp_path / "out")
+    rc = cli.main([command, *inputs[command], "--out", out])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == (f"--out must name a file, got {out!r}: "
+                                  f"{str(tmp_path / written)!r} is a directory")
+
+
+def test_evaluate_out_beside_a_directory_of_its_name(pipeline, tmp_path):
+    # evaluate writes <out>.json and <out>.csv, so a directory named <out> is fine
+    _, _, _, feats = pipeline
+    (tmp_path / "reports").mkdir()
+    assert cli.main(["evaluate", "--features", str(feats), "--seed", "1",
+                     "--runs", "2", "--out", str(tmp_path / "reports")]) == 0
+    assert (tmp_path / "reports.json").is_file()
+    assert (tmp_path / "reports.csv").is_file()
+
+
 def test_extract_and_classify_make_the_out_directory(pipeline, tmp_path):
     _, _, ds, feats = pipeline
     out = tmp_path / "a" / "b" / "f.csv"

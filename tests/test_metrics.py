@@ -1,18 +1,19 @@
 """Evaluation metrics, merging, stratified splits, repeated runs."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import edfdetect.metrics as metrics
-from edfdetect.classifier import PosteriorVector, build_reference, classify_batch
+from edfdetect.classifier import (PosteriorVector, _entropy_rows, build_reference,
+                                  classify_batch)
 from edfdetect.errors import DataError
 from edfdetect.features import FeatureVector
-from edfdetect.metrics import (_merge_rows, average_entropy,
-                               evaluate_single_run, hard_metrics,
-                               probability_metrics, repeated_evaluation,
-                               stratified_split)
+from edfdetect.metrics import (_defect_mask, _merge_rows, average_entropy,
+                               hard_metrics, probability_metrics,
+                               repeated_evaluation, stratified_split)
 
 CLASSES = ("defect_free", "crater", "dirt")
 
@@ -37,7 +38,8 @@ def fv(tau, label, pid=""):
 def merge(probs, defect_classes=frozenset({"crater", "dirt"})):
     """(p_defect, p_defect_free, predicted_defect, entropy) of one posterior row."""
     p_def, p_free, predicted, entropy = _merge_rows(
-        np.asarray(probs, dtype=float)[None, :], CLASSES, set(defect_classes))
+        np.asarray(probs, dtype=float)[None, :],
+        _defect_mask(CLASSES, set(defect_classes)))
     return float(p_def[0]), float(p_free[0]), bool(predicted[0]), float(entropy[0])
 
 
@@ -51,8 +53,22 @@ def test_merge_example():
 def test_merge_sums_to_row_total():
     rng = np.random.default_rng(9)
     probs = rng.dirichlet(np.ones(3), size=20) * rng.uniform(0.5, 1.0, (20, 1))
-    p_def, p_free, _, _ = _merge_rows(probs, CLASSES, {"crater", "dirt"})
+    p_def, p_free, _, _ = _merge_rows(probs, _defect_mask(CLASSES, {"crater", "dirt"}))
     np.testing.assert_allclose(p_def + p_free, probs.sum(axis=1), atol=1e-15)
+
+
+def test_merge_with_a_mask_per_row_sums_each_side_in_column_order():
+    rng = np.random.default_rng(10)
+    probs = rng.dirichlet(np.ones(5), size=40) * rng.uniform(0.5, 1.0, (40, 1))
+    masks = np.array([rng.permutation([True, True, False, False, False])
+                      for _ in range(40)])
+    p_def, p_free, predicted, entropy = _merge_rows(probs, masks)
+    for i in range(40):
+        one = _merge_rows(probs[i:i + 1], masks[i])
+        assert (p_def[i], p_free[i]) == (probs[i][masks[i]].sum(),
+                                         probs[i][~masks[i]].sum())
+        assert (p_def[i], p_free[i], predicted[i], entropy[i]) == tuple(
+            v[0] for v in one)
 
 
 def test_merge_uniform_prefers_defect():
@@ -265,7 +281,6 @@ def test_report_serialization(tmp_path):
     csv_path = tmp_path / "report.csv"
     report.write_json(json_path)
     report.write_csv(csv_path)
-    import json
     doc = json.loads(json_path.read_text())
     assert doc["counts"]["n_total"] == 9
     assert len(doc["metrics"]["mer"]["runs"]) == 2
@@ -298,7 +313,8 @@ def test_single_run_binary_metrics_match_per_post_merge():
     data = overlapping_dataset()
     labels = [v.label for v in data]
     for seed in range(6):
-        got = evaluate_single_run(data, seed, 0.7, {"crater", "dirt"})
+        report = repeated_evaluation(data, [seed], 0.7, {"crater", "dirt"})
+        got = {name: series.runs[0] for name, series in report.metrics.items()}
         train, val = stratified_split(labels, 0.7, seed)
         ref = build_reference([data[i] for i in train])
         posts = classify_batch(ref, [data[i] for i in val])
@@ -340,7 +356,152 @@ def test_repeated_evaluation_passes_program_errors_through(monkeypatch):
     def broken(*args):
         raise ZeroDivisionError("bug")
 
-    monkeypatch.setattr(metrics, "evaluate_single_run", broken)
+    monkeypatch.setattr(metrics, "_posteriors", broken)
     with pytest.raises(ZeroDivisionError):
         repeated_evaluation(separable_dataset(), seeds=[1], train_fraction=0.7,
                             defect_classes={"crater", "dirt"})
+
+
+def _oracle_run(features, seed, train_fraction, defect_classes):
+    """One run as first written: its own split, a reference and one classify
+    pass, then the merge and the rates of the 1-run code."""
+    labels = [fv.label or "" for fv in features]
+    labels_arr = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    train_parts, val_parts = [], []
+    for c in dict.fromkeys(labels):
+        idx = np.flatnonzero(labels_arr == c)
+        k = int(np.floor(len(idx) * train_fraction + 0.5))
+        if len(idx) < 2:
+            raise DataError(f"class {c!r} has {len(idx)} member(s); need >= 2")
+        perm = rng.permutation(idx)
+        train_parts.append(perm[:k])
+        val_parts.append(perm[k:])
+    val_idx = np.sort(np.concatenate(val_parts))
+    if not len(val_idx):
+        raise DataError(f"train_fraction {train_fraction} leaves no validation points")
+    train_idx = np.sort(np.concatenate(train_parts))
+    ref = build_reference([features[i] for i in train_idx])
+    posts = classify_batch(ref, [features[i] for i in val_idx])
+    probabilities = np.array([p.probabilities for p in posts])
+
+    true_labels = [labels[i] for i in val_idx]
+    class_pos = {c: j for j, c in enumerate(ref.classes)}
+    true_pos = np.array([class_pos.get(t, -1) for t in true_labels])
+    p_true = np.where(true_pos >= 0,
+                      probabilities[np.arange(len(posts)), true_pos], 0.0)
+    cl = set(ref.classes)
+    if not defect_classes or not defect_classes < cl:
+        raise DataError(
+            f"defect classes {sorted(defect_classes)} must be a nonempty proper "
+            f"subset of {sorted(cl)}")
+    mask = np.array([c in defect_classes for c in ref.classes])
+    p_def = probabilities[:, mask].sum(axis=1)
+    p_free = probabilities[:, ~mask].sum(axis=1)
+    truth = np.array([t in defect_classes for t in true_labels])
+
+    def rates(p1):
+        error = np.where(truth, 1.0 - p1, p1)
+        return (float(error.mean()),
+                float(error[~truth].mean()) if (~truth).any() else None,
+                float(error[truth].mean()) if truth.any() else None)
+
+    mer, fpr, fnr = rates((p_def >= p_free).astype(float))
+    prob_mer, prob_fpr, prob_fnr = rates(p_def)
+    return {
+        "mer": mer, "fpr": fpr, "fnr": fnr,
+        "prob_mer": prob_mer, "prob_fpr": prob_fpr, "prob_fnr": prob_fnr,
+        "avg_entropy": float(np.mean(_entropy_rows(np.column_stack([p_def, p_free])))),
+        "mer_multiclass": float(np.mean(np.argmax(probabilities, axis=1) != true_pos)),
+        "prob_mer_multiclass": float(np.mean(1.0 - p_true)),
+        "avg_entropy_multiclass": float(np.mean([p.entropy for p in posts])),
+    }
+
+
+def interleaved_dataset(n_classes, per_class=5, dim=3):
+    # rows cycle through the classes, so which class appears first among a
+    # run's sorted training rows changes from seed to seed
+    rng = np.random.default_rng(11)
+    names = [f"c{j}" for j in range(n_classes)]
+    return [fv(rng.standard_normal(dim) + 0.7 * (i % n_classes), names[i % n_classes],
+               f"p{i}")
+            for i in range(n_classes * per_class)]
+
+
+def zero_train_count_dataset():
+    # round(2 * 0.2) = 0: no crater ever reaches training
+    rng = np.random.default_rng(12)
+    counts = {"defect_free": 10, "dirt": 10, "crater": 2}
+    return [fv(rng.standard_normal(3) + k, label, f"{label}_{i}")
+            for k, (label, n) in enumerate(counts.items()) for i in range(n)]
+
+
+def _run_classes(data, seed, train_fraction):
+    train, _ = stratified_split([v.label for v in data], train_fraction, seed)
+    return build_reference([data[i] for i in train]).classes
+
+
+SEEDS = list(range(20, 44))
+
+
+@pytest.mark.parametrize("data, train_fraction, defects", [
+    (separable_dataset(), 0.7, {"crater", "dirt"}),
+    (overlapping_dataset(), 0.7, {"crater", "dirt"}),
+    (overlapping_dataset(), 0.5, {"dirt"}),
+    (interleaved_dataset(4), 0.7, {"c2", "c3"}),
+    (interleaved_dataset(10), 0.6, {"c1", "c4", "c5", "c8"}),
+    (zero_train_count_dataset(), 0.2, {"dirt"}),
+], ids=["separable", "overlapping", "overlapping-dirt", "4-class", "10-class",
+        "zero-train-count"])
+def test_every_run_equals_the_one_run_oracle(data, train_fraction, defects):
+    report = repeated_evaluation(data, SEEDS, train_fraction, defects)
+    for run, seed in enumerate(SEEDS):
+        want = _oracle_run(data, seed, train_fraction, defects)
+        assert {name: s.runs[run] for name, s in report.metrics.items()} == want
+
+
+def test_interleaved_runs_differ_in_class_order():
+    # the 4- and 10-class oracle cases really mix runs of different orders
+    for n_classes, frac in ((4, 0.7), (10, 0.6)):
+        data = interleaved_dataset(n_classes)
+        assert len({_run_classes(data, s, frac) for s in SEEDS}) > 1
+
+
+def test_zero_train_count_class_scores_as_a_zero_probability_column():
+    data = zero_train_count_dataset()
+    assert all("crater" not in _run_classes(data, s, 0.2) for s in SEEDS)
+    report = repeated_evaluation(data, SEEDS, 0.2, {"dirt"})
+    assert report.n_total == 18
+    # the two validation craters are always wrong in the 3-class view
+    assert min(report.metrics["mer_multiclass"].runs) >= 2 / 18
+
+
+@pytest.mark.parametrize("data, train_fraction, defects", [
+    ([fv([0.0], "a"), fv([1.0], "a"), fv([2.0], "a"), fv([3.0], "b")], 0.7, {"b"}),
+    ([fv([float(i)], "ab"[i // 3]) for i in range(6)], 0.9, {"b"}),
+    ([fv([float(i)], "a") for i in range(10)] + [fv([5.0], "b"), fv([6.0], "b")],
+     0.2, {"b"}),
+    (zero_train_count_dataset(), 0.2, {"crater", "dirt"}),
+], ids=["singleton-class", "no-validation", "single-training-class",
+        "defect-class-never-trained"])
+def test_failing_runs_keep_their_error_text(data, train_fraction, defects):
+    with pytest.raises(DataError) as oracle:
+        _oracle_run(data, SEEDS[0], train_fraction, defects)
+    with pytest.raises(DataError) as got:
+        repeated_evaluation(data, SEEDS, train_fraction, defects)
+    assert str(got.value) == f"evaluation run 0 (seed {SEEDS[0]}) failed: {oracle.value}"
+
+
+@pytest.mark.parametrize("runs_per_block", [1, 3])
+def test_report_does_not_depend_on_the_block_size(monkeypatch, runs_per_block):
+    data = overlapping_dataset()
+    n_val = repeated_evaluation(data, [1], 0.7, {"crater", "dirt"}).n_total
+    seeds = list(range(10))
+
+    def report_json():
+        report = repeated_evaluation(data, seeds, 0.7, {"crater", "dirt"})
+        return json.dumps(report.to_json_dict(), sort_keys=True)
+
+    default = report_json()
+    monkeypatch.setattr(metrics, "_BLOCK_ROWS", runs_per_block * n_val)
+    assert report_json() == default
