@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -205,16 +204,26 @@ def write_patch_pgm(patch: Patch, path: str | Path, lo: float, hi: float) -> Non
 
 
 def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
-    """Read a P2 PGM written by write_patch_pgm; returns (pixels, lo, hi)."""
-    tokens: list[str] = []
-    bounds = None
-    for line in io.StringIO(read_utf8(path), newline=None):
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) == 4 and parts[1] == "range":
-                bounds = parts[2:]
+    """Read a P2 PGM written by write_patch_pgm; returns (pixels, lo, hi).
+
+    A line starting with '#' is a comment wherever it stands; the last
+    '# range lo hi' gives the range. Every sample is read as int() reads it,
+    in one numpy conversion for the whole file.
+    """
+    # Line ends as universal newlines read them: \r\n and \r become \n, and
+    # only \n ends a line (str.splitlines would also end one at \x85 or \u2028).
+    text = read_utf8(path)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    body, bounds = [], None
+    for line in text.split("\n"):
+        if not line.startswith("#"):
+            body.append(line)
             continue
-        tokens.extend(line.split())
+        parts = line.split()
+        if len(parts) == 4 and parts[1] == "range":
+            bounds = parts[2:]
+    tokens = "\n".join(body).split()
     if not tokens or tokens[0] != "P2":
         raise DataError(f"{path}: not a P2 PGM file")
     if bounds is None:
@@ -227,13 +236,15 @@ def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
         raise DataError(f"{path}: range {lo!r} {hi!r} is not a finite lo < hi")
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        grey = np.array([int(t) for t in tokens[4:]], dtype=float)
+        if width < 1 or height < 1 or not 0 < maxval <= 65535:
+            raise DataError(f"{path}: bad PGM header {width} {height} {maxval}")
+        grey = np.array(tokens[4:], dtype=np.int64)    # int() per token, in C
     except IndexError as exc:
         raise DataError(f"{path}: truncated PGM header") from exc
     except ValueError as exc:
         raise DataError(f"{path}: non-integer PGM token ({exc})") from exc
-    if width < 1 or height < 1 or maxval < 1:
-        raise DataError(f"{path}: bad PGM header {width} {height} {maxval}")
+    except OverflowError as exc:                       # a sample outside int64
+        raise DataError(f"{path}: samples outside 0..{maxval}") from exc
     if grey.size != width * height:
         raise DataError(f"{path}: expected {width * height} samples, got {grey.size}")
     if grey.min() < 0 or grey.max() > maxval:

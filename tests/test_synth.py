@@ -1,15 +1,18 @@
 """Fringe rendering, defect injection, and dataset generation."""
 
 import hashlib
+import io
 import math
 import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edfdetect.errors import ConfigError, DataError
-from edfdetect.features import q_for_frequency, standardize_patch
+from edfdetect.features import q_for_frequency, read_utf8, standardize_patch
 from edfdetect.splinefit import build_spline_model, select_lambda
 from edfdetect.synth import (CRATER, DIRT, GENERATION_KEYS, DefectSpec,
                              GenerationConfig, PatternSpec, _pgm_range,
@@ -352,12 +355,136 @@ def test_config_validation_errors():
     "2 2\n10\n0 -1 2 3\n",     # negative sample
     "2 2\n65535\n0 1 3.5 3\n",  # float sample
     "2 2\n65535\n0 1 2 3 abc\n",  # trailing garbage after the last sample
+    "2 2\n65536\n0 0 0 0\n",   # maxval above 16 bits
+    "2 2\n65535\n0 1 2 99999999999999999999\n",  # sample outside int64
 ])
 def test_malformed_pgm_is_data_error_naming_path(tmp_path, body):
     path = tmp_path / "bad.pgm"
     path.write_text("P2\n# range 0.0 1.0\n" + body)
     with pytest.raises(DataError, match=re.escape(str(path))):
         read_patch_pgm(path)
+
+
+def _first_written_pgm_reader(path):
+    """The first P2 reader, one int() per token: the oracle for the one-conversion
+    reader. One line differs from it: the maxval bound, added with that reader."""
+    tokens: list[str] = []
+    bounds = None
+    for line in io.StringIO(read_utf8(path), newline=None):
+        if line.startswith("#"):
+            parts = line.split()
+            if len(parts) == 4 and parts[1] == "range":
+                bounds = parts[2:]
+            continue
+        tokens.extend(line.split())
+    if not tokens or tokens[0] != "P2":
+        raise DataError(f"{path}: not a P2 PGM file")
+    if bounds is None:
+        raise DataError(f"{path}: missing '# range lo hi' comment")
+    try:
+        lo, hi = float(bounds[0]), float(bounds[1])
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed range comment {' '.join(bounds)!r}") from exc
+    if not 0 < hi - lo < math.inf:
+        raise DataError(f"{path}: range {lo!r} {hi!r} is not a finite lo < hi")
+    try:
+        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        grey = np.array([int(t) for t in tokens[4:]], dtype=float)
+    except IndexError as exc:
+        raise DataError(f"{path}: truncated PGM header") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: non-integer PGM token ({exc})") from exc
+    if width < 1 or height < 1 or not 0 < maxval <= 65535:     # was maxval < 1
+        raise DataError(f"{path}: bad PGM header {width} {height} {maxval}")
+    if grey.size != width * height:
+        raise DataError(f"{path}: expected {width * height} samples, got {grey.size}")
+    if grey.min() < 0 or grey.max() > maxval:
+        raise DataError(f"{path}: samples outside 0..{maxval}")
+    pixels = lo + grey.reshape(height, width) / maxval * (hi - lo)
+    return pixels, lo, hi
+
+
+# Spellings int() accepts, non-integers it rejects, and whitespace that splits a
+# token but not a line: \x0b, \x0c, \x1c, \x85 and \u2028 end a line for
+# str.splitlines, so "0\x85# range ..." would turn into a comment there.
+_DIGITS = {"arabic": "٠١٢٣٤٥٦٧٨٩", "fullwidth": "０１２３４５６７８９"}
+_SPELLINGS = ("plain", "plus", "zero", "underscore", *_DIGITS)
+_NON_SAMPLES = ("3.5", "1e3", "0x10", "abc", "-1", "#", "99999999999999999999",
+                "1" + "0" * 400)
+_SEPARATORS = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "  ", "\t ",
+               "\x85# range 0.0 2.0 ")
+_LINE_ENDS = ("\n", "\r\n", "\r")
+_COMMENTS = ("# range 0.0 1.0", "# range 0.25 0.75", "# a comment", "#range 0 1",
+             "# range 1.0 0.0", "# range x 1", "# note\x85# range 0.0 2.0",
+             "# note\u20287 7", "#", " # range 0.0 2.0")
+
+
+def _spell(value: int, how: str) -> str:
+    text = str(value)
+    if how == "plus":
+        return "+" + text
+    if how == "zero":
+        return "0" + text
+    if how == "underscore":
+        return text[0] + "_" + text[1:] if len(text) > 1 else text
+    if how in _DIGITS:
+        return text.translate(str.maketrans("0123456789", _DIGITS[how]))
+    return text
+
+
+@st.composite
+def _pgm_texts(draw) -> str:
+    """A P2 text near write_patch_pgm's: odd spellings, comments between lines,
+    mixed line ends, and now and then a token or count that is wrong."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([65535] * 5 + [255, 10, 1, 0, 65536]))
+    count = width * height + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    values = [width, height, maxval] + [draw(st.integers(0, max(maxval, 1)))
+                                        for _ in range(count)]
+    if count and draw(st.integers(0, 15)) == 0:
+        values[draw(st.integers(3, len(values) - 1))] = maxval + 1
+    tokens = ["P2"] + [_spell(v, draw(st.sampled_from(_SPELLINGS))) for v in values]
+    if draw(st.integers(0, 7)) == 0:
+        tokens[draw(st.integers(1, len(tokens) - 1))] = draw(st.sampled_from(_NON_SAMPLES))
+    lines = [tokens[0]]
+    for token in tokens[1:]:
+        if draw(st.booleans()):
+            lines.append(token)
+        else:
+            odd = draw(st.integers(0, 3)) == 0
+            lines[-1] += (draw(st.sampled_from(_SEPARATORS)) if odd else " ") + token
+    comments = [draw(st.sampled_from(_COMMENTS))
+                for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.integers(0, 15)):
+        comments.append("# range 0.0 1.0")
+    for comment in comments:
+        lines.insert(draw(st.integers(0, len(lines))), comment)
+    ends = [draw(st.sampled_from(_LINE_ENDS)) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _read_outcome(read, path, errors=(DataError,)):
+    """(pixel bytes, shape, lo, hi), or "DataError" for any of errors."""
+    try:
+        pixels, lo, hi = read(path)
+    except errors:
+        return "DataError"
+    assert pixels.dtype == np.float64
+    return pixels.tobytes(), pixels.shape, lo, hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(text="P2\r\n# range 0.0 1.0\r3 1\r\n65535\n+5 1_000 ٣\n")
+@example(text="P2\n# range 0.0 1.0\n1 1\n255\n7\x85# range 0.0 2.0\n")
+@example(text="P2\n# range 0.0 1.0\n1 1\n255\n1" + "0" * 400 + "\n")
+@given(text=_pgm_texts())
+def test_pgm_reader_matches_first_written_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("pgm") / "p.pgm"
+    path.write_bytes(text.encode("utf-8"))
+    # A sample past the float range overflows the oracle's float conversion;
+    # the contract for it is the DataError of any other out-of-range sample.
+    assert _read_outcome(read_patch_pgm, path) == _read_outcome(
+        _first_written_pgm_reader, path, (DataError, OverflowError))
 
 
 @pytest.mark.parametrize("edit, lineno", [
