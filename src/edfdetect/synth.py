@@ -23,7 +23,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from collections.abc import Callable
+import threading
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,11 +173,15 @@ def _pgm_range(spec: PatternSpec) -> tuple[float, float]:
 @functools.cache
 def _decimal_table() -> tuple[np.ndarray, np.ndarray]:
     """(text, keep) per grey level 0..65535, each 8 bytes read as one uint64."""
-    values = np.arange(65536)
+    # Digit column p (place 10**p) of 0..65535 is runs of 10**p copies of
+    # '0'..'9', repeated: no integer division.
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     text = np.zeros((65536, 8), dtype=np.uint8)
-    text[:, :5] = values[:, None] // 10 ** np.arange(4, -1, -1) % 10 + ord("0")
+    for col, place in enumerate((10_000, 1000, 100, 10, 1)):
+        period = np.repeat(digits, place)
+        text[:, col] = np.tile(period, -(-65536 // period.size))[:65536]
     text[:, 5] = ord(" ")
-    width = 1 + sum(values >= 10**k for k in range(1, 5))
+    width = 1 + np.searchsorted([10, 100, 1000, 10_000], np.arange(65536), side="right")
     keep = np.zeros((65536, 8), dtype=bool)
     keep[:, :5] = np.arange(5) >= 5 - width[:, None]
     keep[:, 5] = True
@@ -298,8 +303,10 @@ _AUTO_DIRT_RADIUS = {20: (8.0, 12.0), 30: (6.0, 10.0), 40: (5.0, 9.0)}
 # Patch origins are drawn with rng.integers, which holds int64 values.
 _MAX_PATTERN_WIDTH = 2**63 - 1
 # Largest patch side: rendering and the PGM writer hold several m x m arrays
-# of 8-byte values at once, 134 MB each at m = 4095, so a larger m is refused
-# before numpy fails to allocate.
+# of 8-byte values at once, 134 MB each at m = 4095, and generate_dataset
+# renders the next patch while the writer thread writes the last one, so a
+# dataset of m = 4095 patches peaks at about 1.2 GB (0.7 GB for one patch). A
+# larger m is refused before numpy fails to allocate.
 MAX_PATCH_SIDE = 4095
 
 
@@ -497,11 +504,57 @@ def _sample_defect(kind: str, cfg: GenerationConfig, f: float,
     return DefectSpec(kind=kind, center=center, radius=radius, strength=strength)
 
 
+# generate_dataset renders on the calling thread and writes patch files on one
+# writer thread: creating a file and the PGM writer's numpy gathers run mostly
+# without the GIL, so the next patch renders meanwhile. At most _HANDOFF
+# rendered patches wait for the writer, which bounds the memory this adds.
+_HANDOFF = 1
+
+
+def _write_behind(writes: Iterable[Callable[[], None]]) -> None:
+    """Call each write of writes, in order, on one writer thread while this
+    thread makes the next one.
+
+    The first failure in write order is raised here, as a serial loop would
+    raise it: a failed write stops the iteration at its next step, no later
+    write runs, and a write failure wins over a failure of the iteration
+    that comes after it. The writer thread is joined on every exit.
+    """
+    import queue    # only generate needs it, and every command imports synth
+
+    handoff: queue.Queue = queue.Queue(maxsize=_HANDOFF)
+    failed: list[BaseException] = []
+
+    def drain() -> None:
+        while (write := handoff.get()) is not None:
+            if not failed:
+                try:
+                    write()
+                except BaseException as exc:    # raised again on the calling thread
+                    failed.append(exc)
+
+    writer = threading.Thread(target=drain, name="edfdetect-patch-writer")
+    writer.start()
+    try:
+        for write in writes:
+            handoff.put(write)
+            if failed:
+                break
+    finally:
+        handoff.put(None)
+        writer.join()
+        if failed:
+            raise failed[0]
+
+
 def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> Path:
     """Render the configured dataset into out_dir and write manifest.csv.
 
     Every patch gets a seed derived from (seed, patch index), so the output
-    is byte-identical across repeated runs with the same arguments.
+    is byte-identical across repeated runs with the same arguments. Patch
+    files are written in patch order on one background thread; the first
+    failure is raised here, after which the patch files before it are on
+    disk and no manifest is written.
     """
     cfg.validate()
     if seed < 0:
@@ -513,36 +566,40 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
     counts = {DEFECT_FREE: cfg.count_defect_free, CRATER: cfg.count_crater,
               DIRT: cfg.count_dirt}
     rows: list[list] = []
-    index = 0
-    for f in cfg.frequencies:
-        for psi in cfg.phases:
-            spec = cfg.channel_spec(f, psi)
-            lo, hi = _pgm_range(spec)
-            for label in CLASS_ORDER:
-                for _ in range(counts[label]):
-                    noise_seed, rng = _patch_seed_and_rng(seed, index)
-                    origin = int(rng.integers(0, spec.pattern_width - cfg.m + 1))
-                    patch_id = f"p{index:06d}"
-                    defect = (None if label == DEFECT_FREE
-                              else _sample_defect(label, cfg, f, rng))
-                    patch = render_patch(spec, cfg.m, origin, noise_seed, patch_id,
-                                         defect)
-                    fname = f"patches/{patch_id}.{cfg.format}"
-                    if cfg.format == "pgm":
-                        write_patch_pgm(patch, out / fname, lo, hi)
-                    else:
-                        write_patch_csv(patch, out / fname)
-                    rows.append([
-                        patch_id, fname, label, repr(f), repr(psi), cfg.m,
-                        defect.kind if defect else "",
-                        repr(defect.center[0]) if defect else "",
-                        repr(defect.center[1]) if defect else "",
-                        repr(defect.radius) if defect else "",
-                        repr(defect.strength) if defect else "",
-                        origin, noise_seed,
-                    ])
-                    index += 1
 
+    def writes():
+        index = 0
+        for f in cfg.frequencies:
+            for psi in cfg.phases:
+                spec = cfg.channel_spec(f, psi)
+                lo, hi = _pgm_range(spec)
+                for label in CLASS_ORDER:
+                    for _ in range(counts[label]):
+                        noise_seed, rng = _patch_seed_and_rng(seed, index)
+                        origin = int(rng.integers(0, spec.pattern_width - cfg.m + 1))
+                        patch_id = f"p{index:06d}"
+                        defect = (None if label == DEFECT_FREE
+                                  else _sample_defect(label, cfg, f, rng))
+                        patch = render_patch(spec, cfg.m, origin, noise_seed, patch_id,
+                                             defect)
+                        fname = f"patches/{patch_id}.{cfg.format}"
+                        rows.append([
+                            patch_id, fname, label, repr(f), repr(psi), cfg.m,
+                            defect.kind if defect else "",
+                            repr(defect.center[0]) if defect else "",
+                            repr(defect.center[1]) if defect else "",
+                            repr(defect.radius) if defect else "",
+                            repr(defect.strength) if defect else "",
+                            origin, noise_seed,
+                        ])
+                        index += 1
+                        if cfg.format == "pgm":
+                            yield functools.partial(write_patch_pgm, patch, out / fname,
+                                                    lo, hi)
+                        else:
+                            yield functools.partial(write_patch_csv, patch, out / fname)
+
+    _write_behind(writes())
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_MANIFEST_COLUMNS)

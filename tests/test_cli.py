@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import edfdetect.classifier as classifier
 import edfdetect.cli as cli
 import edfdetect.synth as synth
-from edfdetect.errors import DegenerateGcvError
+from edfdetect.errors import DataError, DegenerateGcvError
 from edfdetect.features import read_features_csv, write_features_csv
 
 
@@ -404,6 +404,30 @@ def test_patch_side_over_the_bound_is_config_error(tmp_path, capsys, source):
     assert payload["message"] == "m must be odd and in [31, 4095], got 100001"
     assert not ds.exists()
     synth.GenerationConfig(m=4095).validate()   # the bound itself is accepted
+
+
+@pytest.mark.parametrize("error", [
+    DataError("p000003.pgm: pixels do not map onto 0..65535"),
+    OSError(28, "No space left on device"),
+])
+def test_generate_write_failure_exits_3_with_one_error_line(tmp_path, capsys,
+                                                            monkeypatch, error):
+    write_patch_pgm = synth.write_patch_pgm
+
+    def write(patch, path, lo, hi):
+        if path.name == "p000003.pgm":
+            raise error
+        write_patch_pgm(patch, path, lo, hi)
+
+    monkeypatch.setattr(synth, "write_patch_pgm", write)
+    ds = tmp_path / "ds"
+    rc = cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY])
+    assert rc == 3
+    assert _one_error_line(capsys) == {"exit_code": 3, "error": type(error).__name__,
+                                       "message": str(error)}
+    assert sorted(path.name for path in (ds / "patches").iterdir()) == [
+        "p000000.pgm", "p000001.pgm", "p000002.pgm"]
+    assert not (ds / "manifest.csv").exists()
 
 
 def test_negative_generate_seed_is_config_error(tmp_path, capsys):

@@ -4,18 +4,23 @@ import hashlib
 import io
 import math
 import re
+import threading
+import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import edfdetect.synth as synth
 from edfdetect.errors import ConfigError, DataError
 from edfdetect.features import q_for_frequency, read_utf8, standardize_patch
 from edfdetect.splinefit import build_spline_model, select_lambda
 from edfdetect.synth import (CRATER, DIRT, GENERATION_KEYS, DefectSpec,
-                             GenerationConfig, PatternSpec, _pgm_range,
+                             GenerationConfig, PatternSpec, _decimal_table,
+                             _pgm_range,
                              generate_dataset, generation_config,
                              load_dataset, parse_key_values, phase_field,
                              read_patch_csv, read_patch_pgm, render_patch,
@@ -201,6 +206,22 @@ def test_pgm_writer_matches_first_written_oracle(tmp_path, m, case):
         assert {len(s) for s in samples} == {1, 2, 3, 4, 5}
 
 
+def test_decimal_table_matches_first_written_division_oracle():
+    # The first table: digits by integer division, widths by comparison.
+    values = np.arange(65536)
+    text = np.zeros((65536, 8), dtype=np.uint8)
+    text[:, :5] = values[:, None] // 10 ** np.arange(4, -1, -1) % 10 + ord("0")
+    text[:, 5] = ord(" ")
+    width = 1 + sum(values >= 10**k for k in range(1, 5))
+    keep = np.zeros((65536, 8), dtype=bool)
+    keep[:, :5] = np.arange(5) >= 5 - width[:, None]
+    keep[:, 5] = True
+    got_text, got_keep = _decimal_table()
+    assert got_text.dtype == got_keep.dtype == np.uint64
+    np.testing.assert_array_equal(got_text, text.view(np.uint64)[:, 0])
+    np.testing.assert_array_equal(got_keep, keep.view(np.uint64)[:, 0])
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_pgm_writer_rejects_pixels_without_grey_level(tmp_path):
     patch = render_patch(PatternSpec(pattern_width=364), 31)
@@ -281,6 +302,134 @@ def test_generate_dataset_csv_format(tmp_path):
     manifest = generate_dataset(cfg, seed=5, out_dir=tmp_path / "ds")
     patches = load_dataset(manifest)
     assert len(patches) == 14
+
+
+def _patch_names(count, suffix="pgm"):
+    return [f"p{i:06d}.{suffix}" for i in range(count)]
+
+
+def _patch_files(ds):
+    """{name: bytes} of every patch file of a dataset, in name order."""
+    return {path.name: path.read_bytes() for path in sorted((ds / "patches").iterdir())}
+
+
+def _failing_write(k, error):
+    """write_patch_pgm, except that patch k raises error before any byte is written."""
+    def write(patch, path, lo, hi):
+        if Path(path).stem == f"p{k:06d}":
+            raise error
+        write_patch_pgm(patch, path, lo, hi)
+    return write
+
+
+@pytest.mark.parametrize("error_type, message", [
+    (DataError, "p.pgm: pixels do not map onto 0..65535"),
+    (OSError, "[Errno 28] No space left on device"),
+])
+@pytest.mark.parametrize("k", [0, 6, 13])
+def test_generate_dataset_write_failure_leaves_what_serial_generation_leaves(
+        tmp_path, monkeypatch, k, error_type, message):
+    full = tmp_path / "full"
+    generate_dataset(small_config(), seed=5, out_dir=full)
+    error = error_type(message)
+    renders = []
+
+    def render(*args):
+        renders.append(args)
+        return render_patch(*args)
+
+    monkeypatch.setattr(synth, "write_patch_pgm", _failing_write(k, error))
+    monkeypatch.setattr(synth, "render_patch", render)
+    threads = threading.active_count()
+    ds = tmp_path / "ds"
+    with pytest.raises(error_type) as info:
+        generate_dataset(small_config(), seed=5, out_dir=ds)
+    assert info.value is error and str(info.value) == message
+    assert threading.active_count() == threads
+    assert not (ds / "manifest.csv").exists()
+    written, serial = _patch_files(ds), _patch_files(full)
+    assert list(written) == _patch_names(k)
+    assert written == {name: serial[name] for name in written}
+    # rendering stops once the failure is seen: patch k is with the writer,
+    # the hand-off holds the next ones and one more waits to be handed off
+    assert len(renders) <= k + synth._HANDOFF + 2
+
+
+def test_generate_dataset_reports_a_write_failure_before_a_later_render_failure(
+        tmp_path, monkeypatch):
+    render_failed = threading.Event()
+
+    def write(patch, path, lo, hi):
+        if Path(path).stem == "p000003":
+            render_failed.wait(timeout=60)      # fail after the render of p000004 fails
+            raise OSError(5, "Input/output error")
+        write_patch_pgm(patch, path, lo, hi)
+
+    def render(spec, m, origin, seed, patch_id, defect):
+        if patch_id == "p000004":
+            render_failed.set()
+            raise DataError("render of p000004 failed")
+        return render_patch(spec, m, origin, seed, patch_id, defect)
+
+    monkeypatch.setattr(synth, "write_patch_pgm", write)
+    monkeypatch.setattr(synth, "render_patch", render)
+    threads = threading.active_count()
+    ds = tmp_path / "ds"
+    with pytest.raises(OSError, match=re.escape("[Errno 5] Input/output error")):
+        generate_dataset(small_config(), seed=5, out_dir=ds)
+    assert render_failed.is_set()
+    assert threading.active_count() == threads
+    assert list(_patch_files(ds)) == _patch_names(3)
+    assert not (ds / "manifest.csv").exists()
+
+
+def test_generate_dataset_joins_the_writer_on_keyboard_interrupt(tmp_path, monkeypatch):
+    def render(spec, m, origin, seed, patch_id, defect):
+        if patch_id == "p000005":
+            raise KeyboardInterrupt
+        return render_patch(spec, m, origin, seed, patch_id, defect)
+
+    monkeypatch.setattr(synth, "render_patch", render)
+    threads = threading.active_count()
+    ds = tmp_path / "ds"
+    with pytest.raises(KeyboardInterrupt):
+        generate_dataset(small_config(), seed=5, out_dir=ds)
+    assert threading.active_count() == threads
+    assert list(_patch_files(ds)) == _patch_names(5)
+    assert not (ds / "manifest.csv").exists()
+
+
+def test_generate_dataset_keeps_patch_order_when_the_hand_off_fills(tmp_path, monkeypatch):
+    csv_cfg = small_config(format="csv")
+    plain = tmp_path / "plain"
+    generate_dataset(csv_cfg, seed=5, out_dir=plain)
+    events = []          # +1 per finished render, -1 per finished write
+
+    def slow(write):
+        def wrapped(*args):
+            time.sleep(0.01)        # renders of m = 31 take well under 1 ms
+            write(*args)
+            events.append(-1)
+        return wrapped
+
+    def render(*args):
+        patch = render_patch(*args)
+        events.append(1)
+        return patch
+
+    monkeypatch.setattr(synth, "write_patch_pgm", slow(write_patch_pgm))
+    monkeypatch.setattr(synth, "write_patch_csv", slow(write_patch_csv))
+    monkeypatch.setattr(synth, "render_patch", render)
+    test_generate_dataset_matches_pinned_digest(tmp_path / "pinned")
+    # one patch being written, a full hand-off and one rendered patch waiting
+    assert max(np.cumsum(events)) == synth._HANDOFF + 2
+    events.clear()
+    slowed = tmp_path / "slowed"
+    generate_dataset(csv_cfg, seed=5, out_dir=slowed)
+    assert max(np.cumsum(events)) == synth._HANDOFF + 2
+    assert (slowed / "manifest.csv").read_bytes() == (plain / "manifest.csv").read_bytes()
+    assert list(_patch_files(slowed)) == _patch_names(14, "csv")
+    assert _patch_files(slowed) == _patch_files(plain)
 
 
 def _parse_config(text):
