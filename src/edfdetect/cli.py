@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+# Only what every command runs is imported here; each command imports the
+# rest of the package itself, so it loads only the modules it needs.
 from . import features as feat
-from . import metrics as met
-from . import synth
-from .classifier import classify_batch, load_reference_csv, write_posteriors_csv
 from .errors import ConfigError, DataError, NumericError
 
 EXIT_DATA_ERROR = 3
@@ -44,18 +43,16 @@ def derive_run_seeds(seed: int, n_runs: int) -> list[int]:
 def _config_values(path: str | None) -> dict[str, tuple[str, str]]:
     if not path:
         return {}
-    return synth.parse_key_values(feat.read_utf8(path, ConfigError).splitlines(), path)
-
-
-def _load_config(args) -> synth.GenerationConfig:
-    """--config values, then --set values on top; validated once, after both."""
-    values = _config_values(args.config)
-    values.update(synth.parse_key_values(args.set or [], "--set"))
-    return synth.generation_config(values)
+    return feat.parse_key_values(feat.read_utf8(path, ConfigError).splitlines(), path)
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_config(args)
+    from . import synth
+
+    # --config values, then --set values on top; validated once, after both
+    values = _config_values(args.config)
+    values.update(feat.parse_key_values(args.set or [], "--set"))
+    cfg = synth.generation_config(values)
     manifest = synth.generate_dataset(cfg, seed=args.seed, out_dir=args.out)
     print(manifest)
     return 0
@@ -78,7 +75,15 @@ def _out_file(out: str, suffix: str = "") -> Path:
 
 
 def cmd_extract(args) -> int:
+    from . import synth
+
     out = _out_file(args.out)
+    if args.q is not None:
+        if args.feature == "colstd":
+            raise ConfigError("--q sets the EDF basis dimension; "
+                              "--feature colstd takes no --q")
+        if args.q < 4:
+            raise ConfigError(f"--q must be >= 4, got {args.q}")
     manifest = Path(args.data)
     if manifest.is_dir():
         manifest = manifest / "manifest.csv"
@@ -102,6 +107,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classifier import classify_batch, load_reference_csv, write_posteriors_csv
+
     out = _out_file(args.out)
     rows = feat.read_features_csv(args.reference)
     ref = load_reference_csv(args.reference, rows)
@@ -121,7 +128,7 @@ _EVALUATE_KEYS = {"train_frac": float, "runs": int, "seed": int,
 def _evaluate_params(args) -> dict:
     """Defaults, then evaluate's config file, then the flags given on top."""
     params = {"train_frac": 0.7, "runs": 10, "merge": {"crater", "dirt"}, "seed": None}
-    params.update(synth.typed_values(_config_values(args.config), _EVALUATE_KEYS))
+    params.update(feat.typed_values(_config_values(args.config), _EVALUATE_KEYS))
     params.update((key, getattr(args, key)) for key in _EVALUATE_KEYS
                   if getattr(args, key) is not None)
     if params["seed"] is None:
@@ -130,6 +137,8 @@ def _evaluate_params(args) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics as met
+
     json_path, csv_path = _out_file(args.out, ".json"), _out_file(args.out, ".csv")
     vectors = [fv for fv in feat.read_features_csv(args.features) if fv.label]
     if not vectors:
@@ -173,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--out", required=True, help="output features CSV")
     ext.add_argument("--feature", choices=("edf", "colstd"), default="edf")
     ext.add_argument("--q", type=int, default=None,
-                     help="override the basis dimension (default: by frequency)")
+                     help="override the EDF basis dimension, >= 4 (default: by frequency)")
     ext.add_argument("--transpose", action="store_true",
                      help="transpose patches on load (fringes along columns)")
     ext.add_argument("--threads", type=_at_least_one, default=1,

@@ -8,7 +8,8 @@ crossing a surface defect come out wigglier and need more degrees of
 freedom, so the feature profile peaks there.
 
 A cheap baseline feature (per-column standard deviations) is provided for
-comparison runs.
+comparison runs. The module also holds the readers every command shares:
+UTF-8 text, CSV rows and flat key=value config lines.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DegenerateGcvError
+from .errors import ConfigError, DataError, DegenerateGcvError
 from .splinefit import SplineModel, build_spline_model, select_lambda
 
 # Standard deviation below this marks a constant (degenerate) patch.
@@ -200,6 +202,40 @@ def csv_rows(path: str | Path):
             yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def parse_key_values(lines: list[str], source: str) -> dict[str, tuple[str, str]]:
+    """Read flat key=value lines into {key: (value, "<source>:<line>")}.
+
+    Blank lines and '#' comment lines are skipped and a later line for a
+    key wins; each value keeps its location so later errors can name it.
+    """
+    values: dict[str, tuple[str, str]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{source}:{lineno}"
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{where}: expected key=value, got {line!r}")
+        values[key.strip()] = (val.strip(), where)
+    return values
+
+
+def typed_values(values: dict[str, tuple[str, str]],
+                 keys: dict[str, Callable[[str], object]]) -> dict[str, object]:
+    """{key: keys[key](value)} of parse_key_values output; a key not in the table
+    or a value its parser rejects is a ConfigError at the value's location."""
+    typed = {}
+    for key, (val, where) in values.items():
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        try:
+            typed[key] = keys[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {val!r}") from exc
+    return typed
 
 
 def read_features_csv(path: str | Path) -> list[FeatureVector]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import (MIN_PATCH_SIDE, Patch, channel_problem, csv_rows,
-                       q_for_frequency, read_utf8)
+                       parse_key_values, q_for_frequency, read_utf8, typed_values)
 
 DEFECT_FREE = "defect_free"
 CRATER = "crater"
@@ -441,40 +441,6 @@ GENERATION_KEYS: dict[str, Callable[[str], object]] = {
     "dirt_radius": _or_auto(_pair), "dirt_strength": _pair,
     "center_jitter": float, "format": str,
 }
-
-
-def parse_key_values(lines: list[str], source: str) -> dict[str, tuple[str, str]]:
-    """Read flat key=value lines into {key: (value, "<source>:<line>")}.
-
-    Blank lines and '#' comment lines are skipped and a later line for a
-    key wins; each value keeps its location so later errors can name it.
-    """
-    values: dict[str, tuple[str, str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{source}:{lineno}"
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{where}: expected key=value, got {line!r}")
-        values[key.strip()] = (val.strip(), where)
-    return values
-
-
-def typed_values(values: dict[str, tuple[str, str]],
-                 keys: dict[str, Callable[[str], object]]) -> dict[str, object]:
-    """{key: keys[key](value)} of parse_key_values output; a key not in the table
-    or a value its parser rejects is a ConfigError at the value's location."""
-    typed = {}
-    for key, (val, where) in values.items():
-        if key not in keys:
-            raise ConfigError(f"{where}: unknown config key {key!r}")
-        try:
-            typed[key] = keys[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad value for {key!r}: {val!r}") from exc
-    return typed
 
 
 def generation_config(values: dict[str, tuple[str, str]]) -> GenerationConfig:

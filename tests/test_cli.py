@@ -188,6 +188,22 @@ def test_extract_q_override_changes_features(pipeline):
     assert out.read_bytes() != feats.read_bytes()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "3"], "--q must be >= 4, got 3"),
+    (["--q", "20", "--feature", "colstd"],
+     "--q sets the EDF basis dimension; --feature colstd takes no --q"),
+])
+def test_extract_bad_q_is_refused_before_any_input_is_read(tmp_path, capsys, flags,
+                                                           message):
+    missing = str(tmp_path / "missing")   # reading it first would be a DataError
+    rc = cli.main(["extract", "--data", missing, "--out", str(tmp_path / "f.csv"),
+                   *flags])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == message
+
+
 def test_extract_transpose_flag(pipeline):
     root, _, ds, feats = pipeline
     out = root / "features_t.csv"
@@ -780,15 +796,54 @@ def test_pgm_writer_table_is_built_by_the_first_write_only(pipeline, tmp_path):
     _run_child(_NO_PGM_TABLE, ds, tmp_path / "f.csv")
 
 
+_COMMAND_MODULES = """\
+import sys
+import edfdetect.cli as cli
+assert cli.main(sys.argv[2:]) == 0
+loaded = {name.split(".")[1] for name in sys.modules if name.startswith("edfdetect.")}
+assert not loaded & set(sys.argv[1].split(",")), sorted(loaded)
+"""
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("generate", "classifier,metrics"),
+    ("extract-edf", "classifier,metrics"),
+    ("extract-colstd", "classifier,metrics"),
+    ("classify", "synth,metrics"),
+    ("evaluate", "synth"),
+])
+def test_each_command_imports_only_the_modules_it_runs(pipeline, tmp_path, command,
+                                                      absent):
+    _, config, ds, feats = pipeline
+    argv = {
+        "generate": ["generate", "--config", config, "--seed", "1",
+                     "--out", tmp_path / "ds"],
+        "extract-edf": ["extract", "--data", ds, "--out", tmp_path / "f.csv"],
+        "extract-colstd": ["extract", "--data", ds, "--out", tmp_path / "f.csv",
+                           "--feature", "colstd"],
+        "classify": ["classify", "--reference", feats, "--queries", feats,
+                     "--out", tmp_path / "p.csv", "--leave-one-out"],
+        "evaluate": ["evaluate", "--features", feats, "--seed", "1", "--runs", "2",
+                     "--out", tmp_path / "r.json"],
+    }[command]
+    _run_child(_COMMAND_MODULES, absent, *argv)
+
+
 def test_all_lists_every_public_name_the_package_binds():
     import edfdetect
 
+    assert set(edfdetect.__all__) <= set(dir(edfdetect))
+    for name in edfdetect.__all__:
+        obj = getattr(edfdetect, name)  # imported from its module on first use
+        assert vars(sys.modules[obj.__module__])[name] is obj
     bound = [name for name, obj in vars(edfdetect).items()
              if not name.startswith("_") and not isinstance(obj, types.ModuleType)]
     assert sorted(edfdetect.__all__) == sorted(bound)
     namespace: dict = {}
     exec("from edfdetect import *", namespace)
-    assert set(edfdetect.__all__) <= set(namespace)
+    assert set(namespace) - {"__builtins__"} == set(edfdetect.__all__)
+    with pytest.raises(AttributeError):
+        edfdetect.not_a_public_name
 
 
 _MUTATIONS = ("truncate", "swap", "nan", "empty", "byte", "huge")

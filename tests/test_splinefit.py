@@ -1,7 +1,9 @@
 """Spline model, penalized fit, and GCV selection against dense oracles."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -12,7 +14,7 @@ from edfdetect.errors import (DataError, DegenerateGcvError, IllPosedFitError,
 from edfdetect.features import q_for_frequency, standardize_patch
 from edfdetect.splinefit import (_GAUSS2_NODES, _LOG_GRID, LAMBDA_GRID,
                                  SplineModel, _basis_values, _gcv,
-                                 _golden_minimize, _slope_root,
+                                 _golden_minimize, _project, _slope_root,
                                  build_spline_model, fit_penalized,
                                  select_lambda)
 from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
@@ -434,6 +436,87 @@ def test_select_lambda_matches_first_written_oracle(f):
     for z in _oracle_rows(f):
         fit = select_lambda(model, z)
         assert (fit.lam, fit.edf) == _oracle_select(model, z)
+
+
+@functools.cache
+def _mp_spectrum(q):
+    """(gamma, P) of the m=91 model at mpmath's working precision, its double
+    design X and penalty S taken as exact: X'X = L L' (Cholesky), C = L^-1 S L^-T = U G U',
+    eigenvalues under 1e-12 x max set to 0 (the rule _factorize uses), and
+    P = U' L^-1 X', so that w = P z. Call inside mpmath.workdps(40)."""
+    model = build_spline_model(91, q)
+    x = mpmath.matrix(model.design.tolist())
+    l_inv = mpmath.inverse(mpmath.cholesky(x.T * x))
+    core = l_inv * mpmath.matrix(model.penalty.tolist()) * l_inv.T
+    gamma, u = mpmath.eigsy((core + core.T) / 2)
+    top = max(gamma)
+    gamma = [g if g >= mpmath.mpf("1e-12") * top else mpmath.mpf(0) for g in gamma]
+    return gamma, u.T * l_inv * x.T
+
+
+def _true_stationary_edf(q, z, lo, hi):
+    """(edf, |dEDF/drho|, lambda) at the zero of the exact GCV slope in
+    log-lambda rho, bisected 160 times inside [lo, hi]."""
+    gamma, proj = _mp_spectrum(q)
+    zm = mpmath.matrix([float(v) for v in z])
+    w_sq = [v * v for v in proj * zm]
+    rss0 = sum(v * v for v in zm) - sum(w_sq)
+
+    def at(rho):
+        d = [1 / (1 + mpmath.exp(rho) * g) for g in gamma]
+        edf = sum(d)
+        rss = rss0 + sum((1 - di) ** 2 * v for di, v in zip(d, w_sq))
+        rss_slope = 2 * sum(di * (1 - di) ** 2 * v for di, v in zip(d, w_sq))
+        edf_slope = -sum(di * (1 - di) for di in d)
+        return edf, edf_slope, rss_slope * (91 - edf) + 2 * rss * edf_slope
+
+    a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+    assert at(a)[2] < 0 < at(b)[2]  # the row has an interior GCV minimum
+    for _ in range(160):
+        mid = (a + b) / 2
+        a, b = (mid, b) if at(mid)[2] < 0 else (a, mid)
+    edf, edf_slope, _ = at((a + b) / 2)
+    return float(edf), float(-edf_slope), float(mpmath.exp((a + b) / 2))
+
+
+# Rows 45 of the clean, dirt and crater patches, row 35 of the crater patch,
+# and the spike: the rows of _oracle_rows(f) with a GCV minimum inside the
+# grid (the affine and noise rows smooth to the grid end, where none is).
+_TRUTH_ROWS = (45, 136, 227, 217, 275)
+
+
+@pytest.mark.parametrize("f", [8.0, 16.0, 32.0, 64.0])
+def test_select_lambda_edf_is_the_true_gcv_stationary_edf(f):
+    """EDF of select_lambda against the exact stationary point of GCV.
+
+    The error bound has three terms, each taken at the true point:
+    - 1e-13 (the slope root's log-lambda tolerance) x |dEDF/drho|;
+    - q eps edf, the rounding of edf = sum(d);
+    - 4 eps max(gamma) sum(d (1 - d) / gamma) over nonzero gamma: the double
+      spectrum of C carries absolute errors of order eps max(gamma), a relative
+      error eps max(gamma) / gamma on each eigenvalue, which moves the EDF at a
+      fixed lambda by up to the sum; the factor 4 is 2 (it moves the root of the
+      slope too) times 2 (margin). This term dominates on the spike, whose
+      minimum lies where only the smallest nonzero eigenvalues are active.
+    Measured: the error is at most 0.27 of the bound on these rows.
+    """
+    q = q_for_frequency(f)
+    model = build_spline_model(91, q)
+    fact = model.factorization()
+    eps = np.finfo(float).eps
+    rows, last = _oracle_rows(f), len(LAMBDA_GRID) - 1
+    with mpmath.workdps(40):
+        for i in _TRUTH_ROWS:
+            _, w_sq, rss0, rss_floor, _ = _project(model, rows[i])
+            gcv, _ = _gcv(91, fact.grid_edf, rss0 + fact.grid_shrink_sq @ w_sq, rss_floor)
+            best = last - int(np.argmin(gcv[::-1]))  # select_lambda's grid point
+            lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
+            edf, edf_slope, lam = _true_stationary_edf(q, rows[i], lo, hi)
+            gamma = np.array([float(g) for g in _mp_spectrum(q)[0]])
+            d = 1.0 / (1.0 + lam * gamma[gamma > 0])
+            bound = (1e-13 * edf_slope + q * eps * edf
+                     + 4 * eps * gamma.max() * np.sum(d * (1 - d) / gamma[gamma > 0]))
+            assert abs(select_lambda(model, rows[i]).edf - edf) <= bound, (i, bound)
 
 
 def _counting(slope, calls):
