@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,19 +54,18 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass
 class LabeledFeatureSet:
-    """Immutable reference sample: vectors and class bookkeeping."""
+    """Immutable reference sample, its rows grouped by class: the first
+    sizes[0] rows of vectors and patch_ids are classes[0], the next sizes[1]
+    classes[1], and so on."""
 
     vectors: np.ndarray                 # (N, m)
-    classes: tuple[str, ...]            # (K,) in order of first appearance
-    patch_ids: tuple[str, ...]          # (N,)
-    _by_class: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    classes: tuple[str, ...]            # (K,)
+    sizes: np.ndarray                   # (K,) rows of each class
+    patch_ids: tuple[str, ...] = ()     # (N,)
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def class_rows(self, label: str) -> np.ndarray:
-        return self._by_class[label]
 
 
 @dataclass
@@ -88,7 +87,9 @@ class PosteriorVector:
 
 
 def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
-    """Validate labeled feature vectors and freeze them as a reference set."""
+    """Validate labeled feature vectors and freeze them as a reference set,
+    its classes in order of first appearance and rows in input order within
+    a class."""
     if not vectors:
         raise DataError("empty reference set")
     dim = vectors[0].dim
@@ -97,7 +98,7 @@ def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
         if fv.dim != dim:
             raise DimensionMismatchError(
                 f"feature vector {fv.patch_id!r} has dim {fv.dim}, expected {dim}")
-        if fv.label is None:
+        if not fv.label:
             raise DataError(f"reference vector {fv.patch_id!r} is unlabeled")
         labels.append(fv.label)
 
@@ -105,22 +106,21 @@ def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
     if len(classes) < 2:
         raise SingleClassError(f"need >= 2 classes, got {classes}")
 
-    arr = np.array([fv.tau for fv in vectors], dtype=float)
-    label_arr = np.array(labels)
-    by_class = {c: np.flatnonzero(label_arr == c) for c in classes}
-    return LabeledFeatureSet(vectors=arr, classes=tuple(classes),
-                             patch_ids=tuple(fv.patch_id for fv in vectors),
-                             _by_class=by_class)
+    class_of = np.array([classes.index(label) for label in labels])
+    order = np.argsort(class_of, kind="stable")
+    return LabeledFeatureSet(
+        vectors=np.array([vectors[i].tau for i in order], dtype=float),
+        classes=tuple(classes), sizes=np.bincount(class_of),
+        patch_ids=tuple(vectors[i].patch_id for i in order))
 
 
-def _grouped_reference(vectors: np.ndarray, classes: tuple[str, ...],
-                       sizes: list[int]) -> LabeledFeatureSet:
-    """A reference of unnamed, checked rows grouped by class: the first
-    sizes[0] rows are classes[0], the next sizes[1] classes[1], and so on."""
-    ends = np.cumsum(sizes)
-    return LabeledFeatureSet(vectors=vectors, classes=classes, patch_ids=(),
-                             _by_class={c: np.arange(e - n, e)
-                                        for c, n, e in zip(classes, sizes, ends)})
+def _check_queries(ref: LabeledFeatureSet, queries: list[FeatureVector]) -> None:
+    """Refuse a query whose dimension is not the reference's."""
+    for i, fv in enumerate(queries):
+        if fv.dim != ref.dim:
+            raise DimensionMismatchError(
+                f"query {i} ({fv.patch_id!r}) has dim {fv.dim}, "
+                f"reference dim is {ref.dim}")
 
 
 def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
@@ -132,10 +132,7 @@ def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
     class with no point left gets inf. The screen and the exact recompute
     are described in the module docstring.
     """
-    rows = [ref.class_rows(c) for c in ref.classes]
-    order = np.concatenate(rows)
-    refs = ref.vectors[order]           # grouped by class: each class a column slice
-    sizes = np.array([len(r) for r in rows])
+    refs, sizes = ref.vectors, ref.sizes    # each class a column slice
     ends = np.cumsum(sizes)
 
     top = max(np.abs(queries).max(initial=0.0), np.abs(refs).max(initial=0.0))
@@ -154,7 +151,7 @@ def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
     admissible = None
     if exclude_ids is not None:
         codes = {pid: i for i, pid in enumerate(ref.patch_ids)}
-        ref_codes = np.array([codes[ref.patch_ids[i]] for i in order])
+        ref_codes = np.array([codes[pid] for pid in ref.patch_ids])
         query_codes = np.array([codes.get(qid, -1) if qid else -1
                                 for qid in exclude_ids])
         admissible = query_codes[:, None] != ref_codes[None, :]
@@ -174,7 +171,7 @@ def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
     if wide.any():
         diff = q[qi[wide]] - r[ri[wide]]
         exact[wide] = np.ldexp(np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1]), k)
-    out = np.full((queries.shape[0], len(rows)), np.inf)
+    out = np.full((queries.shape[0], len(sizes)), np.inf)
     np.minimum.at(out, (qi, np.searchsorted(ends, ri, side="right")), exact)
     return out
 
@@ -240,11 +237,7 @@ def classify_batch(ref: LabeledFeatureSet, queries: list[FeatureVector],
     """
     if not queries:
         return []
-    for i, fv in enumerate(queries):
-        if fv.dim != ref.dim:
-            raise DimensionMismatchError(
-                f"query {i} ({fv.patch_id!r}) has dim {fv.dim}, "
-                f"reference dim is {ref.dim}")
+    _check_queries(ref, queries)
     arr = np.array([fv.tau for fv in queries], dtype=float)
     ids = [fv.patch_id for fv in queries] if leave_one_out else None
 

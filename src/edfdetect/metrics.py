@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (_entropy_rows, _grouped_reference, _min_distances,
-                         _posteriors)
-from .errors import DataError, DimensionMismatchError, SingleClassError
+from .classifier import (LabeledFeatureSet, _check_queries, _entropy_rows,
+                         _min_distances, _posteriors, build_reference)
+from .errors import DataError
 from .features import FeatureVector
 
 # Most validation rows, over all its runs, that one scoring pass stacks (a run
@@ -282,8 +282,10 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
     aggregated.
 
     Per-run metric values are kept alongside across-run means and standard
-    errors. What can fail depends on the class counts alone, which every run
-    shares, so it is checked once and reported as run 0's failure.
+    errors. Every run has the same class counts, so the classifier's
+    reference and query checks pass on every run's rows if they pass on run
+    0's: they run once, on run 0's own training and validation rows, and a
+    failure is run 0's, in run 0's words.
     """
     if not seeds:
         raise DataError("need at least one seed")
@@ -291,19 +293,11 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
     labels = [fv.label or "" for fv in features]
     try:
         classes, groups, counts = _class_groups(labels, train_fraction)
+        train, val = _draw_split(groups, counts, seeds[0])
+        run0 = build_reference([features[i] for i in np.sort(np.concatenate(train))])
+        _check_queries(run0, [features[i] for i in np.sort(np.concatenate(val))])
         # every run's reference holds the classes with a training count
         ref_classes = tuple(c for c, k in zip(classes, counts) if k)
-        if not ref_classes:
-            raise DataError("empty reference set")
-        dim = features[0].dim
-        for fv, label in zip(features, labels):
-            if fv.dim != dim:
-                raise DimensionMismatchError(
-                    f"feature vector {fv.patch_id!r} has dim {fv.dim}, expected {dim}")
-            if fv.label is None and label in ref_classes:
-                raise DataError(f"reference vector {fv.patch_id!r} is unlabeled")
-        if len(ref_classes) < 2:
-            raise SingleClassError(f"need >= 2 classes, got {list(ref_classes)}")
         present_defects = {c for c in classes if c in defect_classes}
         is_defect_col = _defect_mask(ref_classes, present_defects)
     except DataError as exc:
@@ -314,7 +308,7 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
     column = {c: j for j, c in enumerate(ref_classes)}
     true_class = np.array([column.get(label, -1) for label in labels])
     is_defect_row = np.array([label in present_defects for label in labels])
-    ref_sizes = [k for k in counts if k]
+    ref_sizes = np.array([k for k in counts if k])
     n_val = sum(len(g) for g in groups) - sum(counts)
 
     series: dict[str, MetricSeries] = {
@@ -326,15 +320,15 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
             train, val = _draw_split(groups, counts, seed)
             train = [np.sort(t) for t in train if len(t)]
             val = np.sort(np.concatenate(val))
-            ref = _grouped_reference(vectors[np.concatenate(train)], ref_classes,
-                                     ref_sizes)
+            ref = LabeledFeatureSet(vectors[np.concatenate(train)], ref_classes,
+                                    ref_sizes)
             dists.append(_min_distances(ref, vectors[val]))
             # the run's class order: first appearance among its training rows
             orders.append(np.argsort([t[0] for t in train]))
             val_rows.append(val)
         val = np.concatenate(val_rows)
         scores = _score_runs(np.concatenate(dists), np.array(orders), true_class[val],
-                             is_defect_row[val], is_defect_col, dim)
+                             is_defect_row[val], is_defect_col, run0.dim)
         for name, values in scores.items():
             series[name].runs.extend(
                 [None] * len(orders) if values is None else map(float, values))

@@ -486,7 +486,7 @@ def _write_behind(writes: Iterable[Callable[[], None]]) -> None:
     write runs, and a write failure wins over a failure of the iteration
     that comes after it. The writer thread is joined on every exit.
     """
-    import queue    # only generate needs it, and every command imports synth
+    import queue    # extract imports synth too, but writes no patch file
 
     handoff: queue.Queue = queue.Queue(maxsize=_HANDOFF)
     failed: list[BaseException] = []

@@ -33,7 +33,7 @@ def class_distances(ref, query):
 
 
 def class_counts(ref):
-    return {c: len(ref.class_rows(c)) for c in ref.classes}
+    return dict(zip(ref.classes, ref.sizes.tolist()))
 
 
 def simple_ref(dim=2):
@@ -69,6 +69,43 @@ def test_build_reference_counts_match_manifest():
     assert class_counts(ref) == {"defect_free": 400, "crater": 80, "dirt": 120}
 
 
+def test_build_reference_groups_rows_by_class_in_input_order():
+    labels = ["b", "a", "b", "c", "a", "b"]
+    ids = ["x", "y", "x", "z", "y", "w"]        # repeated patch ids
+    ref = build_reference([fv([float(i), 0.0], lab, pid)
+                           for i, (lab, pid) in enumerate(zip(labels, ids))])
+    assert ref.classes == ("b", "a", "c")
+    assert ref.sizes.tolist() == [3, 2, 1]
+    assert ref.vectors[:, 0].tolist() == [0.0, 2.0, 5.0, 1.0, 4.0, 3.0]
+    assert ref.patch_ids == ("x", "x", "w", "y", "y", "z")
+
+
+def test_build_reference_refuses_an_empty_label():
+    with pytest.raises(DataError, match="'p1' is unlabeled"):
+        build_reference([fv([0.0], "a", "p0"), fv([1.0], "", "p1"), fv([2.0], "b")])
+
+
+@pytest.mark.parametrize("leave_one_out", [False, True])
+def test_posteriors_do_not_depend_on_row_order_within_a_class(leave_one_out):
+    rng = np.random.default_rng(5)
+    labels = [("a", "b", "c")[i % 3] for i in range(60)]
+    pts = np.vstack([rng.standard_normal((54, 6)), np.zeros((6, 6))])  # zero ties
+    vectors = [fv(p, lab, f"p{i % 17}")                                # shared ids
+               for i, (p, lab) in enumerate(zip(pts, labels))]
+    want = classify_batch(build_reference(vectors), vectors, leave_one_out)
+    for seed in range(3):
+        # each class's rows permuted among that class's own positions
+        order = np.arange(60)
+        for c in ("a", "b", "c"):
+            at = [i for i, lab in enumerate(labels) if lab == c]
+            order[at] = np.random.default_rng(seed).permutation(at)
+        ref = build_reference([vectors[i] for i in order])
+        for got, post in zip(classify_batch(ref, vectors, leave_one_out), want):
+            for field in ("probabilities", "log_probabilities", "log_distances"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(post, field))
+            assert (got.entropy, got.predicted) == (post.entropy, post.predicted)
+
+
 def test_min_distance_to_own_point_is_zero():
     ref = simple_ref()
     d = class_distances(ref, np.array([0.0, 0.0]))
@@ -102,7 +139,8 @@ def _cdist_min_distances(ref, queries, exclude_ids=None):
         for i, qid in enumerate(exclude_ids):
             if qid:
                 full[i, [pid == qid for pid in ref.patch_ids]] = np.inf
-    return np.stack([full[:, ref.class_rows(c)].min(axis=1) for c in ref.classes],
+    ends = np.cumsum(ref.sizes)
+    return np.stack([full[:, e - n:e].min(axis=1) for n, e in zip(ref.sizes, ends)],
                     axis=1)
 
 

@@ -1,6 +1,7 @@
 """Evaluation metrics, merging, stratified splits, repeated runs."""
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -476,20 +477,70 @@ def test_zero_train_count_class_scores_as_a_zero_probability_column():
     assert min(report.metrics["mer_multiclass"].runs) >= 2 / 18
 
 
+def _wrong_dim(data, i):
+    """data with row i one feature longer than the rest."""
+    data = list(data)
+    data[i] = replace(data[i], tau=np.zeros(data[i].dim + 1))
+    return data
+
+
+def _unlabeled(data, *rows):
+    return [replace(v, label=None) if i in rows else v for i, v in enumerate(data)]
+
+
+def _run0_validation_row(data, train_fraction):
+    _, val = stratified_split([v.label for v in data], train_fraction, SEEDS[0])
+    return int(val[len(val) // 2])
+
+
 @pytest.mark.parametrize("data, train_fraction, defects", [
     ([fv([0.0], "a"), fv([1.0], "a"), fv([2.0], "a"), fv([3.0], "b")], 0.7, {"b"}),
     ([fv([float(i)], "ab"[i // 3]) for i in range(6)], 0.9, {"b"}),
     ([fv([float(i)], "a") for i in range(10)] + [fv([5.0], "b"), fv([6.0], "b")],
      0.2, {"b"}),
     (zero_train_count_dataset(), 0.2, {"crater", "dirt"}),
+    (_wrong_dim(overlapping_dataset(), 0), 0.7, {"crater", "dirt"}),
+    (_wrong_dim(overlapping_dataset(),
+                _run0_validation_row(overlapping_dataset(), 0.7)), 0.7, {"crater", "dirt"}),
+    (_unlabeled(overlapping_dataset(), 0, 1), 0.7, {"crater", "dirt"}),
 ], ids=["singleton-class", "no-validation", "single-training-class",
-        "defect-class-never-trained"])
+        "defect-class-never-trained", "wrong-dim-first-row", "wrong-dim-validation-row",
+        "two-unlabeled-rows"])
 def test_failing_runs_keep_their_error_text(data, train_fraction, defects):
     with pytest.raises(DataError) as oracle:
         _oracle_run(data, SEEDS[0], train_fraction, defects)
     with pytest.raises(DataError) as got:
         repeated_evaluation(data, SEEDS, train_fraction, defects)
     assert str(got.value) == f"evaluation run 0 (seed {SEEDS[0]}) failed: {oracle.value}"
+
+
+def _failure_texts(data, train_fraction, defects):
+    """(repeated evaluation's, run 0 oracle's) error text of a failing dataset."""
+    texts = []
+    for run in (repeated_evaluation, _oracle_run):
+        with pytest.raises(DataError) as err:
+            run(data, SEEDS if run is repeated_evaluation else SEEDS[0],
+                train_fraction, defects)
+        texts.append(str(err.value))
+    return texts[0], f"evaluation run 0 (seed {SEEDS[0]}) failed: {texts[1]}"
+
+
+@pytest.mark.parametrize("data, defects", [
+    (overlapping_dataset(), {"crater", "dirt"}),
+    (interleaved_dataset(4), {"c2", "c3"}),
+], ids=["overlapping", "4-class"])
+def test_a_wrong_dimension_row_anywhere_fails_as_run_0(data, defects):
+    for i in range(len(data)):
+        got, want = _failure_texts(_wrong_dim(data, i), 0.7, defects)
+        assert got == want, i
+
+
+def test_any_two_unlabeled_rows_fail_as_run_0():
+    data = overlapping_dataset()
+    for i in range(len(data)):
+        for j in range(i + 1, len(data)):
+            got, want = _failure_texts(_unlabeled(data, i, j), 0.7, {"crater", "dirt"})
+            assert got == want, (i, j)
 
 
 @pytest.mark.parametrize("runs_per_block", [1, 3])
