@@ -37,15 +37,17 @@ Every row passes through the same three steps: _project checks it once,
 scales it by a power of two and computes w = Q'z (Q the design in spectral
 coordinates) and the residual rss0 outside the spline space; _gcv scores
 any lambda, on the grid or off it, from edf and the spectral
-rss = rss0 + sum((1 - d)^2 w^2); _fit undoes the scaling and turns the
-chosen lambda into a PenalizedFit. fit_penalized is _project plus _fit,
-and select_lambda puts the grid search and its refinement in between.
+rss = rss0 + sum((1 - d)^2 w^2); PenalizedFit holds the chosen lambda, its
+edf and the projection, and builds coefficients, fitted, gcv and rss, with
+the scaling undone, only on first read. fit_penalized is _project plus the
+fit, and select_lambda puts the grid search and its refinement in between.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,14 +107,46 @@ class SplineModel:
 
 @dataclass
 class PenalizedFit:
-    """Result of one penalized least-squares fit."""
+    """Result of one penalized least-squares fit.
 
-    coefficients: np.ndarray
+    lam and edf are eager, and making a fit whose m - edf falls below
+    tolerance raises DegenerateGcvError; coefficients, fitted, gcv and rss
+    are computed on first read, from the model and projection the fit keeps.
+    """
+
     lam: float
-    fitted: np.ndarray
     edf: float
-    gcv: float
-    rss: float
+    _model: SplineModel = field(repr=False, compare=False)
+    _proj: tuple = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._model.m - self.edf < _GCV_DENOM_TOL:
+            raise DegenerateGcvError(f"m - edf = {self._model.m - self.edf:.3e} leaves no "
+                                     "residual degrees of freedom")
+
+    def _shrink(self) -> np.ndarray:
+        return 1.0 / (1.0 + self.lam * self._model.factorization().gamma)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        w, k = self._proj[0], self._proj[4]
+        with np.errstate(over="ignore"):  # a row near the float range
+            return np.ldexp(self._model.factorization().basis_map @ (self._shrink() * w), k)
+
+    @cached_property
+    def fitted(self) -> np.ndarray:
+        return self._model.design @ self.coefficients
+
+    @cached_property
+    def _scores(self) -> tuple[float, float]:
+        _, w_sq, rss0, rss_floor, k = self._proj
+        gcv, rss = _gcv(self._model.m, self.edf, rss0 + ((1.0 - self._shrink()) ** 2) @ w_sq,
+                        rss_floor)
+        with np.errstate(over="ignore"):  # the rss of a row near the float range is inf
+            return float(np.ldexp(gcv, 2 * k)), float(np.ldexp(rss, 2 * k))
+
+    gcv = property(lambda self: self._scores[0])
+    rss = property(lambda self: self._scores[1])
 
 
 def build_spline_model(m: int, q: int) -> SplineModel:
@@ -206,7 +240,7 @@ def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, floa
     """Check one row and project it onto the spectral basis.
 
     The row is first scaled by 2^-k, with k the binary exponent of max|z|, so
-    that w^2 cannot overflow; the scaling is exact and _fit undoes it.
+    that w^2 cannot overflow; the scaling is exact and PenalizedFit undoes it.
     Returns (w, w^2, rss0, rss_floor, k) of the scaled row: the spectral
     coordinates w = Q'z, their squares, the rss of the part of z outside the
     spline space, and the rss under which a fit counts as exact. Raises
@@ -215,9 +249,9 @@ def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, floa
     z = np.asarray(z, dtype=float)
     if z.shape != (model.m,):
         raise DataError(f"row must have shape ({model.m},), got {z.shape}")
-    if not np.isfinite(z).all():
+    mantissa, k = math.frexp(float(np.abs(z).max()))  # nan or inf if any value is
+    if not math.isfinite(mantissa):
         raise DataError("row contains non-finite values")
-    k = math.frexp(float(np.abs(z).max()))[1]
     z = np.ldexp(z, -k)
     fact = model.factorization()
     w = fact.ortho_design.T @ z
@@ -238,24 +272,6 @@ def _gcv(m: int, edf, rss, rss_floor: float):
     return gcv, rss
 
 
-def _fit(model: SplineModel, proj: tuple, lam: float) -> PenalizedFit:
-    """Penalized fit at lam of a row, given its projection from _project."""
-    w, w_sq, rss0, rss_floor, k = proj
-    fact = model.factorization()
-    d = 1.0 / (1.0 + lam * fact.gamma)
-    edf = float(d.sum())
-    if model.m - edf < _GCV_DENOM_TOL:
-        raise DegenerateGcvError(
-            f"m - edf = {model.m - edf:.3e} leaves no residual degrees of freedom"
-        )
-    gcv, rss = _gcv(model.m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)
-    with np.errstate(over="ignore"):  # the rss of a row near the float range is inf
-        coef = np.ldexp(fact.basis_map @ (d * w), k)
-        gcv, rss = np.ldexp(gcv, 2 * k), np.ldexp(rss, 2 * k)
-    return PenalizedFit(coefficients=coef, lam=float(lam), fitted=model.design @ coef,
-                        edf=edf, gcv=float(gcv), rss=float(rss))
-
-
 def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit:
     """Solve argmin ||z - X b||^2 + lam * b' S b and attach EDF and GCV.
 
@@ -266,7 +282,8 @@ def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit
     proj = _project(model, z)
     if not np.isfinite(lam) or lam < 0.0:
         raise DataError(f"lambda must be finite and >= 0, got {lam}")
-    return _fit(model, proj, lam)
+    edf = float((1.0 / (1.0 + lam * model.factorization().gamma)).sum())
+    return PenalizedFit(float(lam), edf, model, proj)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -312,12 +329,12 @@ def _slope_root(slope, lo: float, hi: float, tol: float = 1e-13) -> float | None
     if not (s_lo < 0.0 < s_hi):
         return None
     a, b, fa, fb, side = lo, hi, s_lo, s_hi, 0
-    spans = [math.inf] * 3  # bracket width before each point so far
+    span3 = span2 = span1 = math.inf  # bracket widths before the last three points
     while b - a > tol:
         x = (a + b) / 2.0
-        if b - a <= spans[-3] / 2.0 and 0.0 < fb - fa < math.inf:
+        if b - a <= span3 / 2.0 and 0.0 < fb - fa < math.inf:
             x = min(max(b - fb * (b - a) / (fb - fa), a + tol / 2.0), b - tol / 2.0)
-        spans.append(b - a)
+        span3, span2, span1 = span2, span1, b - a
         if not a < x < b:
             break  # no float lies strictly between a and b
         fx = slope(x)
@@ -358,30 +375,33 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
     m, gamma = model.m, fact.gamma
 
     gcv_grid, _ = _gcv(m, fact.grid_edf, rss0 + fact.grid_shrink_sq @ w_sq, rss_floor)
-    if not np.isfinite(gcv_grid).any():
-        raise DegenerateGcvError("every grid point has a vanishing GCV denominator")
     last = len(LAMBDA_GRID) - 1
     best = last - int(np.argmin(gcv_grid[::-1]))  # the last of tied minima
+    if not math.isfinite(gcv_grid[best]):
+        raise DegenerateGcvError("every grid point has a vanishing GCV denominator")
 
-    def gcv_at(log_lam: float) -> float:
+    def gcv_at(log_lam: float) -> tuple[float, float]:
         d = 1.0 / (1.0 + math.exp(log_lam) * gamma)
-        return _gcv(m, d.sum(), rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)[0]
+        edf = float(np.add.reduce(d))
+        return _gcv(m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)[0], edf
 
     def gcv_slope_at(log_lam: float) -> float:
-        # sign of dV/drho up to the positive factor m / (m - edf)^3
+        # sign of dV/drho up to the positive factor m / (m - edf)^3; every
+        # product keeps the first-written order, so every bit stays the same
         d = 1.0 / (1.0 + math.exp(log_lam) * gamma)
         one_minus = 1.0 - d
-        rss = rss0 + (one_minus ** 2) @ w_sq
-        rss_slope = 2.0 * (d * one_minus ** 2) @ w_sq
-        edf_slope = -(d * one_minus).sum()
-        return rss_slope * (m - d.sum()) + 2.0 * rss * edf_slope
+        shrink_sq = one_minus ** 2
+        rss = rss0 + float(np.dot(shrink_sq, w_sq))
+        rss_slope = float(np.dot(2.0 * (d * shrink_sq), w_sq))
+        edf_slope = -float(np.add.reduce(d * one_minus))
+        return rss_slope * (m - float(np.add.reduce(d))) + 2.0 * rss * edf_slope
 
     lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
     log_ref = _slope_root(gcv_slope_at, lo, hi)
     if log_ref is None:
-        log_ref = _golden_minimize(gcv_at, lo, hi)
-    gcv_ref, lam_ref = gcv_at(log_ref), math.exp(log_ref)
-    lam_best = float(LAMBDA_GRID[best])
-    if gcv_ref < gcv_grid[best] or (gcv_ref == gcv_grid[best] and lam_ref > lam_best):
-        lam_best = lam_ref
-    return _fit(model, proj, lam_best)
+        log_ref = _golden_minimize(lambda log_lam: gcv_at(log_lam)[0], lo, hi)
+    (gcv_ref, edf_ref), lam_ref = gcv_at(log_ref), math.exp(log_ref)
+    lam, edf = float(LAMBDA_GRID[best]), float(fact.grid_edf[best])
+    if gcv_ref < gcv_grid[best] or (gcv_ref == gcv_grid[best] and lam_ref > lam):
+        lam, edf = lam_ref, edf_ref
+    return PenalizedFit(lam, edf, model, proj)

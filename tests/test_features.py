@@ -112,7 +112,7 @@ def test_crater_rows_are_the_wiggliest():
 @pytest.mark.xfail(reason="ring rows adjacent to the centre tie within GCV "
                    "selection noise, so the argmax can land a few rows off "
                    "centre; the footprint-level property is asserted above",
-                   strict=False)
+                   strict=True)
 def test_crater_centre_row_scales_to_exactly_one():
     crater = DefectSpec(CRATER, (41.0, 45.0), radius=13.0, strength=2.75)
     fv = extract_edf_features(render_patch(F8_SPEC, 91, origin_col=50, seed=0,

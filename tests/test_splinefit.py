@@ -349,6 +349,44 @@ def test_select_lambda_is_scale_free_on_huge_rows():
     assert exact.rss == math.inf and huge.rss == math.inf
 
 
+@pytest.mark.parametrize("q", [20, 30, 40])
+def test_grid_edf_is_the_sum_of_each_grid_points_shrinkage(q):
+    # select_lambda takes a winning grid point's edf from grid_edf, so it must
+    # be the edf fit_penalized computes at that lambda, to the bit
+    fact = build_spline_model(91, q).factorization()
+    for i in range(len(LAMBDA_GRID)):
+        assert fact.grid_edf[i] == (1 / (1 + LAMBDA_GRID[i] * fact.gamma)).sum()
+
+
+def _eager_fit(model, proj, lam):
+    """(coefficients, fitted, edf, gcv, rss) as first written: every field
+    computed when the fit is made."""
+    w, w_sq, rss0, rss_floor, k = proj
+    fact = model.factorization()
+    d = 1.0 / (1.0 + lam * fact.gamma)
+    edf = float(d.sum())
+    gcv, rss = _gcv(model.m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)
+    with np.errstate(over="ignore"):  # the rss of a row near the float range is inf
+        coef = np.ldexp(fact.basis_map @ (d * w), k)
+        gcv, rss = np.ldexp(gcv, 2 * k), np.ldexp(rss, 2 * k)
+    return coef, model.design @ coef, edf, float(gcv), float(rss)
+
+
+@pytest.mark.parametrize("f", [8.0, 64.0])
+def test_fit_fields_built_on_first_read_match_an_eager_fit(f):
+    model = build_spline_model(91, q_for_frequency(f))
+    z = _noise_row(5) + np.sin(np.arange(91) / 7.0)
+    huge = [z * 1e160, z * 2.0 ** 530]  # rss is inf on both
+    for row in _oracle_rows(f) + huge:
+        selected = select_lambda(model, row)
+        for fit in (selected, fit_penalized(model, row, selected.lam)):
+            coef, fitted, edf, gcv, rss = _eager_fit(model, _project(model, row), fit.lam)
+            assert fit.edf == edf
+            assert _bit_equal(fit.fitted, fitted) and _bit_equal(fit.coefficients, coef)
+            assert (fit.gcv, fit.rss) == (gcv, rss)
+    assert math.isinf(select_lambda(model, huge[0]).rss)
+
+
 def _bisect(slope, lo, hi, tol=1e-13):
     """Zero of the slope by plain bisection, as the selector first did it."""
     s_lo, s_hi = slope(lo), slope(hi)
