@@ -179,8 +179,8 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
         for fv in features:
             if fv.dim != m:
                 raise DataError("feature vectors of mixed dimension")
-            writer.writerow([fv.patch_id, fv.label or "", repr(fv.frequency),
-                             repr(fv.phase), m] + [repr(float(v)) for v in fv.tau])
+            writer.writerow([fv.patch_id, fv.label or "", repr(float(fv.frequency)),
+                             repr(float(fv.phase)), m] + [repr(float(v)) for v in fv.tau])
 
 
 def read_utf8(path: str | Path, error: type[DataError] = DataError) -> str:

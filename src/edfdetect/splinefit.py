@@ -16,15 +16,17 @@ wigglier rows need more degrees of freedom.
 The smoothing parameter is selected by minimizing the GCV score
 m * rss / (m - edf)^2 over a geometric grid (Craven & Wahba 1979), then
 refining between the grid neighbours of the minimizer at a zero of the
-analytic GCV slope in log-lambda (a value-only golden-section pass serves
-as the fallback). The zero is found in two phases: Illinois regula falsi
-(Dowell & Jarratt 1971) narrows a sign-change bracket to the tolerance,
-then bisection's own path from the grid neighbours is replayed, calling
-the slope only for midpoints near that bracket. The answer is therefore a
-bisection point, the one plain bisection returns whenever the slope keeps
-its sign more than 4 tol away from the bracket, found with about 15 slope
-calls instead of 45; unlike a secant point, it does not move with the last
-bits of the row.
+analytic GCV slope in log-lambda. Without a sign change a value-only
+golden-section pass serves as the fallback; it decides, for one, a row that
+the spline reproduces to within the rss floor, whose gcv ties at 0 up to a
+lambda between grid points. The zero is found in two phases: Illinois
+regula falsi (Dowell & Jarratt 1971) narrows a sign-change bracket to the
+tolerance, then bisection's own path from the grid neighbours is replayed,
+calling the slope only for midpoints near that bracket. The answer is
+therefore a bisection point, the one plain bisection returns whenever the
+slope keeps its sign more than 4 tol away from the bracket, found with
+about 15 slope calls instead of 45; unlike a secant point, it does not move
+with the last bits of the row.
 
 Internally each model carries a one-off spectral factorization: with
 X'X = R'R (Cholesky) and R^{-T} S R^{-1} = U diag(g) U', every quantity of
@@ -35,9 +37,10 @@ edf = sum(d) land exactly on q at lam = 0 and never fall below 2.
 
 Every row passes through the same three steps: _project checks it once,
 scales it by a power of two and computes w = Q'z (Q the design in spectral
-coordinates) and the residual rss0 outside the spline space; _gcv scores
-any lambda, on the grid or off it, from edf and the spectral
-rss = rss0 + sum((1 - d)^2 w^2); PenalizedFit holds the chosen lambda, its
+coordinates) and the residual rss0 outside the spline space; _gcv's rule
+scores any lambda from edf and the spectral rss = rss0 + sum((1 - d)^2 w^2),
+on the grid with the denominators _factorize made once per model, off it in
+floats with the same operations; PenalizedFit holds the chosen lambda, its
 edf and the projection, and builds coefficients, fitted, gcv and rss, with
 the scaling undone, only on first read. fit_penalized is _project plus the
 fit, and select_lambda puts the grid search and its refinement in between.
@@ -70,6 +73,9 @@ _NULLSPACE_TOL = 1e-12
 
 _GAUSS2_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
+# 1 as a 0-d array: a ufunc skips the scalar conversion that a float costs.
+_ONE = np.ones(())
+
 
 @dataclass
 class _Factorization:
@@ -80,6 +86,8 @@ class _Factorization:
     ortho_design: np.ndarray  # (m, q) design in spectral coords, orthonormal columns
     grid_edf: np.ndarray     # (G,) edf at each LAMBDA_GRID point
     grid_shrink_sq: np.ndarray  # (G, q) (1 - d)^2 at each grid point
+    grid_scored: np.ndarray  # (G,) m - grid_edf >= _GCV_DENOM_TOL
+    grid_denom_sq: np.ndarray  # (G,) max(m - grid_edf, _GCV_DENOM_TOL)^2
 
 
 @dataclass
@@ -227,12 +235,16 @@ def _factorize(design: np.ndarray, penalty: np.ndarray) -> _Factorization:
     ortho_design = design @ basis_map
 
     shrink = 1.0 / (1.0 + LAMBDA_GRID[:, None] * gamma[None, :])
+    grid_edf = shrink.sum(axis=1)
+    denom = len(design) - grid_edf  # _gcv's denominator, row-independent on the grid
     return _Factorization(
         gamma=gamma,
         basis_map=basis_map,
         ortho_design=ortho_design,
-        grid_edf=shrink.sum(axis=1),
+        grid_edf=grid_edf,
         grid_shrink_sq=(1.0 - shrink) ** 2,
+        grid_scored=denom >= _GCV_DENOM_TOL,
+        grid_denom_sq=np.maximum(denom, _GCV_DENOM_TOL) ** 2,
     )
 
 
@@ -374,27 +386,48 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
     fact = model.factorization()
     m, gamma = model.m, fact.gamma
 
-    gcv_grid, _ = _gcv(m, fact.grid_edf, rss0 + fact.grid_shrink_sq @ w_sq, rss_floor)
+    # _gcv on the grid, with the row-independent denominator made once per model
+    rss_grid = rss0 + fact.grid_shrink_sq @ w_sq
+    gcv_grid = np.where(fact.grid_scored,
+                        m * (rss_grid * (rss_grid >= rss_floor)) / fact.grid_denom_sq, np.inf)
     last = len(LAMBDA_GRID) - 1
     best = last - int(np.argmin(gcv_grid[::-1]))  # the last of tied minima
     if not math.isfinite(gcv_grid[best]):
         raise DegenerateGcvError("every grid point has a vanishing GCV denominator")
 
+    # one buffer's rows, rewritten in place at each lambda; the first two are
+    # summed in one call, which adds each row as the 1-d sum does
+    buf = np.empty((5, len(gamma)))
+    d, d_om, om, om_sq, d_om_sq = buf  # d, d (1 - d), 1 - d, (1 - d)^2, d (1 - d)^2
+    w_sq2 = 2.0 * w_sq  # exact, so d (1 - d)^2 . 2 w^2 rounds like 2 d (1 - d)^2 . w^2
+
+    def shrink_at(log_lam: float) -> tuple[float, float, float]:
+        # fills the buffer at lambda; returns edf, sum(d (1 - d)) and the
+        # unfloored rss. reciprocal is the same correctly rounded 1 / x.
+        np.multiply(gamma, math.exp(log_lam), out=d)
+        np.add(d, _ONE, out=d)
+        np.reciprocal(d, out=d)
+        np.subtract(_ONE, d, out=om)
+        np.multiply(d, om, out=d_om)
+        np.multiply(om, om, out=om_sq)
+        edf, d_om_sum = np.add.reduce(buf[:2], axis=1).tolist()
+        return edf, d_om_sum, rss0 + float(om_sq.dot(w_sq))
+
     def gcv_at(log_lam: float) -> tuple[float, float]:
-        d = 1.0 / (1.0 + math.exp(log_lam) * gamma)
-        edf = float(np.add.reduce(d))
-        return _gcv(m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)[0], edf
+        # _gcv in floats; ** 2 on a float is libm pow, as on _gcv's 0-d value
+        # (x * x rounds differently for about 0.1% of x)
+        edf, _, rss = shrink_at(log_lam)
+        denom = m - edf
+        if not denom >= _GCV_DENOM_TOL:
+            return math.inf, edf
+        return m * (rss if rss >= rss_floor else 0.0) / denom ** 2, edf
 
     def gcv_slope_at(log_lam: float) -> float:
         # sign of dV/drho up to the positive factor m / (m - edf)^3; every
-        # product keeps the first-written order, so every bit stays the same
-        d = 1.0 / (1.0 + math.exp(log_lam) * gamma)
-        one_minus = 1.0 - d
-        shrink_sq = one_minus ** 2
-        rss = rss0 + float(np.dot(shrink_sq, w_sq))
-        rss_slope = float(np.dot(2.0 * (d * shrink_sq), w_sq))
-        edf_slope = -float(np.add.reduce(d * one_minus))
-        return rss_slope * (m - float(np.add.reduce(d))) + 2.0 * rss * edf_slope
+        # value rounds as first written, so every bit stays the same
+        edf, d_om_sum, rss = shrink_at(log_lam)
+        np.multiply(d, om_sq, out=d_om_sq)
+        return float(d_om_sq.dot(w_sq2)) * (m - edf) - 2.0 * rss * d_om_sum
 
     lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
     log_ref = _slope_root(gcv_slope_at, lo, hi)

@@ -193,6 +193,7 @@ def _decimal_table() -> tuple[np.ndarray, np.ndarray]:
 
 def write_patch_pgm(patch: Patch, path: str | Path, lo: float, hi: float) -> None:
     """Write a P2 PGM, mapping [lo, hi] linearly onto [0, 65535]."""
+    lo, hi = float(lo), float(hi)  # a numpy scalar's repr is not a number
     grey = np.rint((patch.pixels - lo) / (hi - lo) * 65535.0)
     if np.isnan(grey).any():
         raise DataError(f"{path}: pixels do not map onto 0..65535 with range "
@@ -550,7 +551,7 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
                                              defect)
                         fname = f"patches/{patch_id}.{cfg.format}"
                         rows.append([
-                            patch_id, fname, label, repr(f), repr(psi), cfg.m,
+                            patch_id, fname, label, repr(float(f)), repr(float(psi)), cfg.m,
                             defect.kind if defect else "",
                             repr(defect.center[0]) if defect else "",
                             repr(defect.center[1]) if defect else "",

@@ -223,6 +223,18 @@ def test_features_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(back.tau, orig.tau)
 
 
+def test_features_csv_round_trip_of_numpy_scalars(tmp_path):
+    # repr(np.float64(8.0)) is 'np.float64(8.0)', which the reader rejects
+    fv = extract_edf_features(make_patch(np.random.default_rng(3).standard_normal((31, 31)),
+                                         f=np.float64(8.0), psi=np.float64(np.pi)))
+    path = tmp_path / "features.csv"
+    write_features_csv([fv], path)
+    (back,) = read_features_csv(path)
+    assert (back.frequency, back.phase) == (8.0, np.pi)
+    assert "np.float64" not in path.read_text()
+    np.testing.assert_array_equal(back.tau, fv.tau)
+
+
 def test_features_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 import edfdetect.splinefit as splinefit
@@ -474,6 +476,58 @@ def test_select_lambda_matches_first_written_oracle(f):
     for z in _oracle_rows(f):
         fit = select_lambda(model, z)
         assert (fit.lam, fit.edf) == _oracle_select(model, z)
+
+
+def _constructed_row(kind, seed):
+    rng, x = np.random.default_rng(seed), np.arange(1.0, 92.0)
+    if kind == "noise":
+        return rng.standard_normal(91)
+    if kind == "walk":
+        return rng.standard_normal(91).cumsum()
+    if kind == "sine":
+        return (np.sin(rng.uniform(0.02, 1.5) * x + rng.uniform(0.0, 2 * np.pi))
+                + rng.uniform(0.0, 0.5) * rng.standard_normal(91))
+    if kind == "near-affine":
+        return (rng.uniform(-1.0, 1.0) + rng.uniform(-0.1, 0.1) * x
+                + 10.0 ** rng.uniform(-12.0, -2.0) * rng.standard_normal(91))
+    if kind == "spikes":
+        row, at = np.zeros(91), rng.integers(0, 91, rng.integers(1, 6))
+        row[at] = rng.uniform(-3.0, 3.0, len(at))
+        return row
+    # a quadratic or a cubic: the spline reproduces it to within the rss
+    # floor, so gcv ties at 0 with no slope sign change and golden decides
+    return np.polyval(rng.uniform(-1.0, 1.0, rng.integers(3, 5)), (x - 46.0) / 45.0)
+
+
+@functools.cache
+def _model_91(q):
+    return build_spline_model(91, q)
+
+
+@pytest.mark.parametrize("q", [20, 30, 40])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["noise", "walk", "sine", "near-affine", "spikes", "polynomial"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_select_lambda_matches_first_written_oracle_on_constructed_rows(q, kind, seed):
+    model, z = _model_91(q), _constructed_row(kind, seed)
+    fit = select_lambda(model, z)
+    assert (fit.lam, fit.edf) == _oracle_select(model, z)
+
+
+def test_golden_fallback_wins_on_a_row_the_spline_reproduces(monkeypatch):
+    # gcv is 0 up to the rss floor at every small lambda and the slope keeps
+    # its sign, so golden finds a perfect fit smoother than the grid's and
+    # the tie rule keeps it; without the fallback the edf moves by -4.0e-6
+    points = []
+
+    def spy(fun, lo, hi, tol=1e-9):
+        points.append(_golden_minimize(fun, lo, hi, tol))
+        return points[-1]
+
+    monkeypatch.setattr(splinefit, "_golden_minimize", spy)
+    fit = select_lambda(_model_91(20), (np.arange(1.0, 92.0) - 45.0) ** 2)
+    assert fit.lam == math.exp(points[0]) and fit.lam not in LAMBDA_GRID
+    assert fit.gcv == 0.0
 
 
 @functools.cache

@@ -172,6 +172,19 @@ def test_pgm_round_trip(tmp_path):
     assert np.abs(pixels - patch.pixels).max() <= (hi - lo) / 65535
 
 
+def test_pgm_round_trip_of_a_numpy_scalar_range(tmp_path):
+    # repr(np.float64(0.0)) is 'np.float64(0.0)', which the reader rejects
+    patch = render_patch(PatternSpec(frequency=8.0, pattern_width=364), 31, origin_col=3,
+                         seed=11)
+    new, plain = tmp_path / "new.pgm", tmp_path / "plain.pgm"
+    write_patch_pgm(patch, new, np.float64(-0.04), np.float64(1.04))
+    write_patch_pgm(patch, plain, -0.04, 1.04)
+    assert new.read_bytes() == plain.read_bytes()
+    pixels, lo, hi = read_patch_pgm(new)
+    assert (lo, hi) == (-0.04, 1.04)
+    np.testing.assert_array_equal(pixels, read_patch_pgm(plain)[0])
+
+
 def _first_written_pgm(patch, path, lo, hi):
     """The first P2 writer, one str() per sample: the oracle for the table writer."""
     grey = np.rint((patch.pixels - lo) / (hi - lo) * 65535.0)
@@ -288,6 +301,15 @@ def test_generate_dataset_matches_pinned_digest(tmp_path):
     assert len(paths) == 18
     assert digest.hexdigest() == (
         "ff993d2b9617446a553541e4c0a235b81efc09a31fa01b7053dc37b36c2ee407")
+
+
+def test_generate_dataset_of_numpy_scalar_channels_loads_back(tmp_path):
+    # repr(np.float64(8.0)) is 'np.float64(8.0)', which load_dataset rejects
+    numpy_cfg = small_config(frequencies=(np.float64(8.0),), phases=(np.float64(math.pi),))
+    manifest = generate_dataset(numpy_cfg, seed=9, out_dir=tmp_path / "np")
+    plain = generate_dataset(small_config(), seed=9, out_dir=tmp_path / "plain")
+    assert manifest.read_bytes() == plain.read_bytes()
+    assert {(p.frequency, p.phase) for p in load_dataset(manifest)} == {(8.0, math.pi)}
 
 
 def test_generate_dataset_zero_count_class_absent(tmp_path):
