@@ -16,14 +16,13 @@ wigglier rows need more degrees of freedom.
 The smoothing parameter is selected by minimizing the GCV score
 m * rss / (m - edf)^2 over a geometric grid (Craven & Wahba 1979), then
 refining between the grid neighbours of the minimizer at a zero of the
-analytic GCV slope in log-lambda. Without a sign change a value-only
-golden-section pass serves as the fallback; it decides, for one, a row that
-the spline reproduces to within the rss floor, whose gcv ties at 0 up to a
-lambda between grid points. The zero is found in two phases: Illinois
-regula falsi (Dowell & Jarratt 1971) narrows a sign-change bracket to the
-tolerance, then bisection's own path from the grid neighbours is replayed,
-calling the slope only for midpoints near that bracket. The answer is
-therefore a bisection point, the one plain bisection returns whenever the
+analytic GCV slope in log-lambda. Without a sign change the grid minimizer
+stands: a row that the spline reproduces to within the rss floor keeps the
+largest grid lambda at which it does. The zero is found in two phases:
+Illinois regula falsi (Dowell & Jarratt 1971) narrows a sign-change bracket
+to the tolerance, then bisection's own path from the grid neighbours is
+replayed, calling the slope only for midpoints near that bracket. The answer
+is therefore a bisection point, the one plain bisection returns whenever the
 slope keeps its sign more than 4 tol away from the bracket, found with
 about 15 slope calls instead of 45; unlike a secant point, it does not move
 with the last bits of the row.
@@ -37,13 +36,14 @@ edf = sum(d) land exactly on q at lam = 0 and never fall below 2.
 
 Every row passes through the same three steps: _project checks it once,
 scales it by a power of two and computes w = Q'z (Q the design in spectral
-coordinates) and the residual rss0 outside the spline space; _gcv's rule
-scores any lambda from edf and the spectral rss = rss0 + sum((1 - d)^2 w^2),
-on the grid with the denominators _factorize made once per model, off it in
-floats with the same operations; PenalizedFit holds the chosen lambda, its
-edf and the projection, and builds coefficients, fitted, gcv and rss, with
-the scaling undone, only on first read. fit_penalized is _project plus the
-fit, and select_lambda puts the grid search and its refinement in between.
+coordinates) and the residual rss0 outside the spline space; GCV scores a
+lambda from edf and the spectral rss = rss0 + sum((1 - d)^2 w^2), on the
+grid as one vector with the denominators _factorize made once per model, off
+it by _gcv in floats with the same operations; PenalizedFit holds the chosen
+lambda, its edf and the projection, and builds coefficients, fitted, gcv and
+rss, with the scaling undone, only on first read. fit_penalized is _project
+plus the fit, and select_lambda puts the grid search and its refinement in
+between.
 """
 
 from __future__ import annotations
@@ -94,7 +94,9 @@ class _Factorization:
 class SplineModel:
     """Cubic B-spline basis, design and curvature penalty for rows of length m.
 
-    Immutable after construction; safe to share across workers. The design is
+    The fields are not changed after construction; factorization() fills
+    _fact once, on first use, and a race between workers only computes the
+    same value twice, so a model is safe to share. The design is
     evaluated at sites 1..m, the penalty integrates squared second derivatives
     over [1, m].
     """
@@ -107,7 +109,6 @@ class SplineModel:
     _fact: _Factorization | None = field(default=None, repr=False, compare=False)
 
     def factorization(self) -> _Factorization:
-        # Idempotent fill; a race between workers recomputes the same value.
         if self._fact is None:
             self._fact = _factorize(self.design, self.penalty)
         return self._fact
@@ -148,8 +149,8 @@ class PenalizedFit:
     @cached_property
     def _scores(self) -> tuple[float, float]:
         _, w_sq, rss0, rss_floor, k = self._proj
-        gcv, rss = _gcv(self._model.m, self.edf, rss0 + ((1.0 - self._shrink()) ** 2) @ w_sq,
-                        rss_floor)
+        gcv, rss = _gcv(self._model.m, self.edf,
+                        rss0 + float(((1.0 - self._shrink()) ** 2) @ w_sq), rss_floor)
         with np.errstate(over="ignore"):  # the rss of a row near the float range is inf
             return float(np.ldexp(gcv, 2 * k)), float(np.ldexp(rss, 2 * k))
 
@@ -271,17 +272,18 @@ def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, floa
     return w, w * w, float(resid0 @ resid0), _RSS_FLOOR_REL * float(z @ z), k
 
 
-def _gcv(m: int, edf, rss, rss_floor: float):
-    """GCV score m * rss / (m - edf)^2, elementwise; returns (gcv, floored rss).
+def _gcv(m: int, edf: float, rss: float, rss_floor: float) -> tuple[float, float]:
+    """GCV score m * rss / (m - edf)^2 of one lambda; returns (gcv, floored rss).
 
     rss under rss_floor counts as 0, and a denominator m - edf under
-    _GCV_DENOM_TOL scores inf.
+    _GCV_DENOM_TOL scores inf. ** 2 on a float is libm pow, which rounds like
+    numpy's power on a 0-d value (x * x rounds differently for about 0.1% of x).
     """
-    rss = rss * (rss >= rss_floor)
+    rss = rss if rss >= rss_floor else 0.0
     denom = m - edf
-    gcv = np.where(denom >= _GCV_DENOM_TOL,
-                   m * rss / np.maximum(denom, _GCV_DENOM_TOL) ** 2, np.inf)
-    return gcv, rss
+    if not denom >= _GCV_DENOM_TOL:
+        return math.inf, rss
+    return m * rss / denom ** 2, rss
 
 
 def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit:
@@ -296,27 +298,6 @@ def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit
         raise DataError(f"lambda must be finite and >= 0, got {lam}")
     edf = float((1.0 / (1.0 + lam * model.factorization().gamma)).sum())
     return PenalizedFit(float(lam), edf, model, proj)
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_minimize(fun, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section minimizer on [lo, hi]; returns the bracket midpoint."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
 
 
 def _slope_root(slope, lo: float, hi: float, tol: float = 1e-13) -> float | None:
@@ -376,17 +357,18 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
     Grid search over LAMBDA_GRID, then one refinement pass in log-lambda
     between the grid neighbours of the minimizer: the stationary point of
     the GCV curve, located by _slope_root as the bisection point of a zero
-    of its analytic slope (falling back to a golden-section pass when the
-    bracket holds no sign change). The refined candidate only replaces the
-    grid minimizer when its score is strictly better; ties resolve toward
-    larger lambda (the smoother fit).
+    of its analytic slope. The refined candidate only replaces the grid
+    minimizer when its score is strictly better; ties resolve toward larger
+    lambda (the smoother fit). Without a sign change in the bracket the grid
+    minimizer stands, so a row that the spline reproduces to within the rss
+    floor keeps the largest grid lambda at which it does.
     """
     proj = _project(model, z)
     _, w_sq, rss0, rss_floor, _ = proj
     fact = model.factorization()
     m, gamma = model.m, fact.gamma
 
-    # _gcv on the grid, with the row-independent denominator made once per model
+    # _gcv's rule on the grid, with the row-independent denominator made once per model
     rss_grid = rss0 + fact.grid_shrink_sq @ w_sq
     gcv_grid = np.where(fact.grid_scored,
                         m * (rss_grid * (rss_grid >= rss_floor)) / fact.grid_denom_sq, np.inf)
@@ -413,15 +395,6 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
         edf, d_om_sum = np.add.reduce(buf[:2], axis=1).tolist()
         return edf, d_om_sum, rss0 + float(om_sq.dot(w_sq))
 
-    def gcv_at(log_lam: float) -> tuple[float, float]:
-        # _gcv in floats; ** 2 on a float is libm pow, as on _gcv's 0-d value
-        # (x * x rounds differently for about 0.1% of x)
-        edf, _, rss = shrink_at(log_lam)
-        denom = m - edf
-        if not denom >= _GCV_DENOM_TOL:
-            return math.inf, edf
-        return m * (rss if rss >= rss_floor else 0.0) / denom ** 2, edf
-
     def gcv_slope_at(log_lam: float) -> float:
         # sign of dV/drho up to the positive factor m / (m - edf)^3; every
         # value rounds as first written, so every bit stays the same
@@ -431,10 +404,10 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
 
     lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
     log_ref = _slope_root(gcv_slope_at, lo, hi)
-    if log_ref is None:
-        log_ref = _golden_minimize(lambda log_lam: gcv_at(log_lam)[0], lo, hi)
-    (gcv_ref, edf_ref), lam_ref = gcv_at(log_ref), math.exp(log_ref)
     lam, edf = float(LAMBDA_GRID[best]), float(fact.grid_edf[best])
-    if gcv_ref < gcv_grid[best] or (gcv_ref == gcv_grid[best] and lam_ref > lam):
-        lam, edf = lam_ref, edf_ref
+    if log_ref is not None:
+        edf_ref, _, rss_ref = shrink_at(log_ref)
+        gcv_ref, lam_ref = _gcv(m, edf_ref, rss_ref, rss_floor)[0], math.exp(log_ref)
+        if gcv_ref < gcv_grid[best] or (gcv_ref == gcv_grid[best] and lam_ref > lam):
+            lam, edf = lam_ref, edf_ref
     return PenalizedFit(lam, edf, model, proj)

@@ -373,6 +373,8 @@ class GenerationConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if self.center_jitter < 0:
+            raise ConfigError(f"center_jitter must be >= 0, got {self.center_jitter}")
         for name in ("crater_radius", "crater_strength", "dirt_radius",
                      "dirt_strength"):
             bounds = getattr(self, name)

@@ -391,7 +391,7 @@ TINY = ["--set", "m=31", "--set", "count_defect_free=2", "--set", "count_dirt=2"
     "frequencies=nan", "frequencies=inf", "frequencies=-8", "frequencies=0",
     "phases=nan", "offset=nan", "amplitude=inf", "noise_sigma=nan",
     "center_jitter=nan", "crater_radius=nan,nan", "amplitude=1e308",
-    "offset=1e308", "amplitude=0", "noise_sigma=-1", "frequencies=1e308",
+    "offset=1e308", "amplitude=0", "noise_sigma=-1", "center_jitter=-5", "frequencies=1e308",
     "frequencies=1e306", "pattern_width=100000000000000000000",
     "frequencies=1e306 pattern_width=1000", "crater_radius=1e308,1e308",
     "dirt_radius=1e-300,1e-300", "phases=1e308 dirt_strength=1e308,1e308"])

@@ -15,8 +15,8 @@ from edfdetect.errors import (DataError, DegenerateGcvError, IllPosedFitError,
                               InvalidBasisError)
 from edfdetect.features import q_for_frequency, standardize_patch
 from edfdetect.splinefit import (_GAUSS2_NODES, _LOG_GRID, LAMBDA_GRID,
-                                 SplineModel, _basis_values, _gcv,
-                                 _golden_minimize, _project, _slope_root,
+                                 _GCV_DENOM_TOL, SplineModel, _basis_values,
+                                 _gcv, _project, _slope_root,
                                  build_spline_model, fit_penalized,
                                  select_lambda)
 from edfdetect.synth import (CRATER, DIRT, DefectSpec, GenerationConfig,
@@ -302,20 +302,52 @@ def test_malformed_row_or_lambda_is_data_error(call):
         call(build_spline_model(20, 8))
 
 
+def _array_gcv(m, edf, rss, rss_floor):
+    """The GCV rule as first written, elementwise over arrays: (gcv, floored rss)."""
+    rss = rss * (rss >= rss_floor)
+    denom = m - edf
+    gcv = np.where(denom >= 1e-8, m * rss / np.maximum(denom, 1e-8) ** 2, np.inf)
+    return gcv, rss
+
+
 def test_gcv_floor_tolerance_and_inf_elementwise():
-    edf = np.array([3.0, 10.0 - 5e-9, 10.0, 4.0])
-    rss = np.array([2.0, 2.0, 2.0, 0.5e-6])
-    gcv, floored = _gcv(10, edf, rss, 1e-6)
-    np.testing.assert_array_equal(gcv, [10 * 2.0 / 7.0 ** 2, np.inf, np.inf, 0.0])
-    np.testing.assert_array_equal(floored, [2.0, 2.0, 2.0, 0.0])
-    for i in range(4):  # scalars score exactly like array elements
-        assert _gcv(10, edf[i], rss[i], 1e-6)[0] == gcv[i]
+    cases = [(3.0, 2.0, 10 * 2.0 / 7.0 ** 2, 2.0), (10.0 - 5e-9, 2.0, math.inf, 2.0),
+             (10.0, 2.0, math.inf, 2.0), (4.0, 0.5e-6, 0.0, 0.0)]
+    for edf, rss, gcv, floored in cases:
+        assert _gcv(10, edf, rss, 1e-6) == (gcv, floored)
 
 
-def test_golden_minimize_brackets_the_minimum():
-    assert abs(_golden_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0) - 0.3) < 1e-8
-    # a monotone function drives the bracket onto the lower end
-    assert abs(_golden_minimize(lambda x: x, -2.0, 5.0) + 2.0) < 1e-8
+def _near(value):
+    # value itself or a few ulps to either side
+    return st.integers(-3, 3).map(lambda n: float(value + n * math.ulp(value)))
+
+
+def _m_and_edf(m):
+    # m - edf anywhere, a few ulps either side of _GCV_DENOM_TOL, or near it
+    return st.tuples(st.just(m), st.one_of(
+        st.floats(2.0, m + 1.0), _near(m - _GCV_DENOM_TOL),
+        st.floats(0.5, 2.0).map(lambda t: m - t * _GCV_DENOM_TOL)))
+
+
+# edfs at m = 91 whose 91 - edf libm pow squares otherwise than x * x does
+# (about 0.1% of floats), where a gcv squared by x * x would drift
+_POW_EDGE_EDFS = [e for e in np.random.default_rng(0).uniform(2.0, 91.0, 20_000).tolist()
+                  if (91 - e) ** 2 != (91 - e) * (91 - e)]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(m_edf=st.one_of(st.integers(4, 4095).flatmap(_m_and_edf),
+                       st.tuples(st.just(91), st.sampled_from(_POW_EDGE_EDFS))),
+       rss_floor=st.one_of(st.just(0.0), st.floats(1e-300, 1e-10)), data=st.data())
+def test_scalar_gcv_is_the_first_written_array_rule(m_edf, rss_floor, data):
+    # bit for bit: the float ** 2 is libm pow, as numpy's power on a 0-d value
+    (m, edf), floor_near = m_edf, _near(rss_floor).map(abs)
+    rss = data.draw(st.one_of(st.floats(0.0, 1e6), st.just(0.0), floor_near))
+    gcv, floored = _gcv(m, edf, rss, rss_floor)
+    want_gcv, want_floored = _array_gcv(m, edf, np.float64(rss), rss_floor)
+    assert type(gcv) is float and type(floored) is float
+    assert _bit_equal(np.float64(gcv), want_gcv)
+    assert _bit_equal(np.float64(floored), want_floored)
 
 
 def _noise_row(seed=0, m=91):
@@ -325,17 +357,17 @@ def _noise_row(seed=0, m=91):
 
 @pytest.mark.parametrize("row", [_noise_row(), 0.3 + 0.05 * np.arange(1.0, 92.0)],
                          ids=["pure-noise", "affine"])
-def test_grid_edge_lambda_through_golden_fallback(monkeypatch, row):
+def test_grid_edge_lambda_without_a_slope_sign_change(monkeypatch, row):
     calls = []
 
-    def spy(fun, lo, hi, tol=1e-9):
-        calls.append((lo, hi))
-        return _golden_minimize(fun, lo, hi, tol)
+    def spy(slope, lo, hi, tol=1e-13):
+        calls.append((lo, hi, _slope_root(slope, lo, hi, tol)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(splinefit, "_golden_minimize", spy)
+    monkeypatch.setattr(splinefit, "_slope_root", spy)
     fit = select_lambda(build_spline_model(91, 20), row)
     assert fit.lam == LAMBDA_GRID[-1]
-    assert calls == [(math.log(LAMBDA_GRID[-2]), math.log(LAMBDA_GRID[-1]))]
+    assert calls == [(math.log(LAMBDA_GRID[-2]), math.log(LAMBDA_GRID[-1]), None)]
 
 
 def test_select_lambda_is_scale_free_on_huge_rows():
@@ -367,7 +399,7 @@ def _eager_fit(model, proj, lam):
     fact = model.factorization()
     d = 1.0 / (1.0 + lam * fact.gamma)
     edf = float(d.sum())
-    gcv, rss = _gcv(model.m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)
+    gcv, rss = _array_gcv(model.m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)
     with np.errstate(over="ignore"):  # the rss of a row near the float range is inf
         coef = np.ldexp(fact.basis_map @ (d * w), k)
         gcv, rss = np.ldexp(gcv, 2 * k), np.ldexp(rss, 2 * k)
@@ -406,7 +438,8 @@ def _bisect(slope, lo, hi, tol=1e-13):
 
 def _oracle_select(model, z):
     """Grid search and refinement as first written: one GCV profile with its
-    own closures, a Python argmin loop, then a separate closing fit."""
+    own closures, a Python argmin loop, then a separate closing fit. Without a
+    slope sign change the grid point stands."""
     z = np.asarray(z, dtype=float)
     fact = model.factorization()
     w = fact.ortho_design.T @ z
@@ -449,11 +482,10 @@ def _oracle_select(model, z):
     hi = log_grid[min(best + 1, len(LAMBDA_GRID) - 1)]
     lam_best, gcv_best = float(LAMBDA_GRID[best]), float(gcv_grid[best])
     log_ref = _bisect(gcv_slope_at, lo, hi)
-    if log_ref is None:
-        log_ref = _golden_minimize(gcv_at, lo, hi)
-    gcv_ref, lam_ref = gcv_at(log_ref), math.exp(log_ref)
-    if gcv_ref < gcv_best or (gcv_ref == gcv_best and lam_ref > lam_best):
-        lam_best = lam_ref
+    if log_ref is not None:
+        gcv_ref, lam_ref = gcv_at(log_ref), math.exp(log_ref)
+        if gcv_ref < gcv_best or (gcv_ref == gcv_best and lam_ref > lam_best):
+            lam_best = lam_ref
     return lam_best, float((1.0 / (1.0 + lam_best * fact.gamma)).sum())
 
 
@@ -494,8 +526,15 @@ def _constructed_row(kind, seed):
         row, at = np.zeros(91), rng.integers(0, 91, rng.integers(1, 6))
         row[at] = rng.uniform(-3.0, 3.0, len(at))
         return row
+    if kind == "two-scale":
+        # a smooth part plus a high-frequency part at tuned noise, which can
+        # give two GCV dips between the same grid neighbours
+        smooth = np.sin(rng.uniform(0.02, 0.15) * x + rng.uniform(0.0, 2 * np.pi))
+        fast = rng.uniform(0.02, 0.5) * np.sin(rng.uniform(0.6, 2.5) * x
+                                               + rng.uniform(0.0, 2 * np.pi))
+        return smooth + fast + 10.0 ** rng.uniform(-4.0, -0.5) * rng.standard_normal(91)
     # a quadratic or a cubic: the spline reproduces it to within the rss
-    # floor, so gcv ties at 0 with no slope sign change and golden decides
+    # floor, so gcv ties at 0 with no slope sign change and the grid decides
     return np.polyval(rng.uniform(-1.0, 1.0, rng.integers(3, 5)), (x - 46.0) / 45.0)
 
 
@@ -506,7 +545,8 @@ def _model_91(q):
 
 @pytest.mark.parametrize("q", [20, 30, 40])
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["noise", "walk", "sine", "near-affine", "spikes", "polynomial"]),
+@given(kind=st.sampled_from(["noise", "walk", "sine", "near-affine", "spikes", "two-scale",
+                             "polynomial"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_select_lambda_matches_first_written_oracle_on_constructed_rows(q, kind, seed):
     model, z = _model_91(q), _constructed_row(kind, seed)
@@ -514,20 +554,17 @@ def test_select_lambda_matches_first_written_oracle_on_constructed_rows(q, kind,
     assert (fit.lam, fit.edf) == _oracle_select(model, z)
 
 
-def test_golden_fallback_wins_on_a_row_the_spline_reproduces(monkeypatch):
+def test_a_row_the_spline_reproduces_keeps_its_largest_perfect_fit_grid_point():
     # gcv is 0 up to the rss floor at every small lambda and the slope keeps
-    # its sign, so golden finds a perfect fit smoother than the grid's and
-    # the tie rule keeps it; without the fallback the edf moves by -4.0e-6
-    points = []
-
-    def spy(fun, lo, hi, tol=1e-9):
-        points.append(_golden_minimize(fun, lo, hi, tol))
-        return points[-1]
-
-    monkeypatch.setattr(splinefit, "_golden_minimize", spy)
-    fit = select_lambda(_model_91(20), (np.arange(1.0, 92.0) - 45.0) ** 2)
-    assert fit.lam == math.exp(points[0]) and fit.lam not in LAMBDA_GRID
-    assert fit.gcv == 0.0
+    # its sign, so the grid's tie rule decides: the largest grid lambda whose
+    # fit is exact, not a point between it and the next grid lambda
+    x = np.arange(1.0, 92.0)
+    for q in (20, 30, 40):
+        for z in ((x - 45.0) ** 2, (x - 30.0) ** 3 / 1e4):
+            fit = select_lambda(_model_91(q), z)
+            (i,) = np.flatnonzero(LAMBDA_GRID == fit.lam)
+            assert fit.gcv == 0.0 and i < len(LAMBDA_GRID) - 1, (q, fit.lam)
+            assert fit_penalized(_model_91(q), z, LAMBDA_GRID[i + 1]).gcv > 0.0, q
 
 
 @functools.cache
@@ -600,7 +637,8 @@ def test_select_lambda_edf_is_the_true_gcv_stationary_edf(f):
     with mpmath.workdps(40):
         for i in _TRUTH_ROWS:
             _, w_sq, rss0, rss_floor, _ = _project(model, rows[i])
-            gcv, _ = _gcv(91, fact.grid_edf, rss0 + fact.grid_shrink_sq @ w_sq, rss_floor)
+            gcv, _ = _array_gcv(91, fact.grid_edf, rss0 + fact.grid_shrink_sq @ w_sq,
+                                rss_floor)
             best = last - int(np.argmin(gcv[::-1]))  # select_lambda's grid point
             lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
             edf, edf_slope, lam = _true_stationary_edf(q, rows[i], lo, hi)
