@@ -72,8 +72,8 @@ class DefectSpec:
     def validate(self, m: int) -> None:
         if self.kind not in (CRATER, DIRT):
             raise ConfigError(f"unknown defect kind {self.kind!r}")
-        if self.radius <= 0:
-            raise ConfigError("defect radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError(f"defect radius must be positive and finite, got {self.radius}")
         if self.strength < 0:
             raise ConfigError("defect strength must be >= 0")
         r, c = self.center
@@ -100,29 +100,45 @@ def _cos_taper(d: np.ndarray, start: float, end: float) -> np.ndarray:
     return np.where(d <= start, 1.0, np.where(d >= end, 0.0, ramp))
 
 
-def phase_field(defect: DefectSpec, m: int) -> np.ndarray:
-    """Phase perturbation phi(row, col) of the defect on an m x m grid."""
+def _phase_box(defect: DefectSpec, m: int) -> tuple[tuple[slice, slice], np.ndarray, float]:
+    """(box, phi on the box, phi everywhere else) of the defect on an m x m grid.
+
+    The box holds the rows and columns within support_radius of the center,
+    one more on each side, clipped to the grid; beyond it phi is the final
+    scaling applied to 0.0, the signed zero of a full-grid evaluation.
+    """
     defect.validate(m)
-    rows = np.arange(m, dtype=float)[:, None]
-    cols = np.arange(m, dtype=float)[None, :]
+    reach = defect.support_radius
+    (r0, r1), (c0, c1) = ((max(0, math.floor(c - reach)), min(m, math.ceil(c + reach) + 1))
+                          for c in defect.center)
+    rows = np.arange(r0, r1, dtype=float)[:, None]
+    cols = np.arange(c0, c1, dtype=float)[None, :]
     d = np.hypot(rows - defect.center[0], cols - defect.center[1])
     if defect.kind == CRATER:
         s1 = _CRATER_SIGMA_SCALE * defect.radius
         s2 = s1 / 2.0
-        ring = np.exp(-d**2 / (2 * s1**2)) - np.exp(-d**2 / (2 * s2**2))
-        ring *= _cos_taper(d, _CRATER_TAPER_START * defect.radius, defect.radius)
-        ring[d >= defect.support_radius] = 0.0
+        profile = np.exp(-d**2 / (2 * s1**2)) - np.exp(-d**2 / (2 * s2**2))
+        profile *= _cos_taper(d, _CRATER_TAPER_START * defect.radius, defect.radius)
         dd = np.linspace(0.0, defect.radius, 2001)
         gg = np.exp(-dd**2 / (2 * s1**2)) - np.exp(-dd**2 / (2 * s2**2))
         gg *= _cos_taper(dd, _CRATER_TAPER_START * defect.radius, defect.radius)
-        peak = gg.max()
-        return -defect.strength * ring / peak
-    sigma = defect.radius / 2.0
-    bump = np.exp(-d**2 / (2 * sigma**2))
-    bump *= _cos_taper(d, _DIRT_TAPER_START_R * defect.radius,
-                       _DIRT_TAPER_END_R * defect.radius)
-    bump[d >= defect.support_radius] = 0.0
-    return defect.strength * bump
+        scale, peak = -defect.strength, gg.max()
+    else:
+        sigma = defect.radius / 2.0
+        profile = np.exp(-d**2 / (2 * sigma**2))
+        profile *= _cos_taper(d, _DIRT_TAPER_START_R * defect.radius,
+                              _DIRT_TAPER_END_R * defect.radius)
+        scale, peak = defect.strength, 1.0     # x / 1.0 is x, bit for bit
+    profile[d >= reach] = 0.0
+    return (slice(r0, r1), slice(c0, c1)), scale * profile / peak, scale * 0.0 / peak
+
+
+def phase_field(defect: DefectSpec, m: int) -> np.ndarray:
+    """Phase perturbation phi(row, col) of the defect on an m x m grid."""
+    box, inside, outside = _phase_box(defect, m)
+    field = np.full((m, m), outside)
+    field[box] = inside
+    return field
 
 
 def render_patch(spec: PatternSpec, m: int, origin_col: int = 0,
@@ -131,8 +147,10 @@ def render_patch(spec: PatternSpec, m: int, origin_col: int = 0,
     """Render the m x m patch cut at origin_col from the pattern width.
 
     Pattern plus the noise drawn from seed, with the defect's phase
-    perturbation inside the sine when one is given. A clean patch tiles one
-    row, bit-identical to a zero-strength defect since theta + 0.0 is theta.
+    perturbation inside the sine when one is given. The patch tiles one row,
+    rendered with the phi that holds beyond the defect's box, and then
+    renders the box on its own. A clean patch is bit-identical to a
+    zero-strength defect since theta + 0.0 is theta.
     """
     spec.validate()
     if origin_col < 0 or origin_col + m > spec.pattern_width:
@@ -144,11 +162,14 @@ def render_patch(spec: PatternSpec, m: int, origin_col: int = 0,
     if defect is None:
         pixels = np.tile(spec.offset + spec.amplitude * np.sin(theta), (m, 1))
     else:
-        phi = phase_field(defect, m)
-        pixels = spec.offset + spec.amplitude * np.sin(theta[None, :] + phi)
-    if spec.noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        pixels = pixels + spec.noise_sigma * rng.standard_normal((m, m))
+        box, phi, outside = _phase_box(defect, m)
+        pixels = np.tile(spec.offset + spec.amplitude * np.sin(theta + outside), (m, 1))
+        pixels[box] = spec.offset + spec.amplitude * np.sin(theta[box[1]] + phi)
+    if spec.noise_sigma > 0:    # in place: a * b and a + b round alike in either order
+        noise = np.random.default_rng(seed).standard_normal((m, m))
+        noise *= spec.noise_sigma
+        noise += pixels
+        pixels = noise
     return Patch(pixels=pixels, frequency=spec.frequency, phase=spec.phase,
                  label=defect.kind if defect else DEFECT_FREE, patch_id=patch_id)
 
@@ -158,11 +179,11 @@ def render_patch(spec: PatternSpec, m: int, origin_col: int = 0,
 #
 # The PGM writer formats a patch with one table gather, not one str() per
 # sample. Entry v of the table is the text of v (0..65535) as five
-# right-aligned digits and a space, padded to 8 bytes read as one uint64; its
-# keep-mask drops the leading zeros and the padding. Gathering both at the
-# grey levels, turning each line's last space into a newline and keeping the
-# masked bytes gives " ".join(map(str, row)) per line. The table is built on
-# the first write, so commands that write no PGM never pay for it.
+# right-aligned digits and a space, padded to 8 bytes read as one uint64,
+# with a NUL in place of each leading zero and of the padding. Gathering it at
+# the grey levels, turning each line's last space into a newline and deleting
+# the NULs gives " ".join(map(str, row)) per line. The table is built on the
+# first write, so commands that write no PGM never pay for it.
 
 def _pgm_range(spec: PatternSpec) -> tuple[float, float]:
     lo = spec.offset - spec.amplitude - 4 * spec.noise_sigma
@@ -171,42 +192,42 @@ def _pgm_range(spec: PatternSpec) -> tuple[float, float]:
 
 
 @functools.cache
-def _decimal_table() -> tuple[np.ndarray, np.ndarray]:
-    """(text, keep) per grey level 0..65535, each 8 bytes read as one uint64."""
+def _decimal_table() -> np.ndarray:
+    """Text per grey level 0..65535, NUL where dropped, 8 bytes read as one uint64."""
     # Digit column p (place 10**p) of 0..65535 is runs of 10**p copies of
-    # '0'..'9', repeated: no integer division.
+    # '0'..'9', repeated: no integer division. Each v < 10**p has a leading
+    # zero there, except that 0 keeps its units digit.
     digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     text = np.zeros((65536, 8), dtype=np.uint8)
     for col, place in enumerate((10_000, 1000, 100, 10, 1)):
         period = np.repeat(digits, place)
         text[:, col] = np.tile(period, -(-65536 // period.size))[:65536]
+        text[:place, col] = 0
+    text[0, 4] = ord("0")
     text[:, 5] = ord(" ")
-    width = 1 + np.searchsorted([10, 100, 1000, 10_000], np.arange(65536), side="right")
-    keep = np.zeros((65536, 8), dtype=bool)
-    keep[:, :5] = np.arange(5) >= 5 - width[:, None]
-    keep[:, 5] = True
-    tables = text.view(np.uint64)[:, 0], keep.view(np.uint64)[:, 0]
-    for table in tables:
-        table.setflags(write=False)     # shared by every later write
-    return tables
+    table = text.view(np.uint64)[:, 0]
+    table.setflags(write=False)     # shared by every later write
+    return table
 
 
 def write_patch_pgm(patch: Patch, path: str | Path, lo: float, hi: float) -> None:
     """Write a P2 PGM, mapping [lo, hi] linearly onto [0, 65535]."""
     lo, hi = float(lo), float(hi)  # a numpy scalar's repr is not a number
-    grey = np.rint((patch.pixels - lo) / (hi - lo) * 65535.0)
+    grey = patch.pixels - lo        # then in place, in the same order
+    grey /= hi - lo
+    grey *= 65535.0
+    np.rint(grey, out=grey)
     if np.isnan(grey).any():
         raise DataError(f"{path}: pixels do not map onto 0..65535 with range "
                         f"{lo!r} {hi!r}")
-    grey = np.clip(grey, 0, 65535).astype(np.intp)
-    text_table, keep_table = _decimal_table()
-    text = text_table[grey].view(np.uint8).reshape(*grey.shape, 8)
-    text[:, -1, 5] = ord("\n")
-    body = text[keep_table[grey].view(bool).reshape(text.shape)]
+    np.clip(grey, 0, 65535, out=grey)
     m = patch.side
+    text = _decimal_table()[grey.astype(np.intp)].view(np.uint8).reshape(m, m, 8)
+    del grey                        # 134 MB at m = 4095, not held through the write
+    text[:, -1, 5] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(f"P2\n# range {lo!r} {hi!r}\n{m} {m}\n65535\n".encode())
-        fh.write(body.tobytes())
+        fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
@@ -262,8 +283,8 @@ def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
 def write_patch_csv(patch: Patch, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for row in patch.pixels:
-            writer.writerow([repr(float(v)) for v in row])
+        for row in patch.pixels.astype(float, copy=False).tolist():
+            writer.writerow(map(repr, row))
 
 
 def read_patch_csv(path: str | Path) -> np.ndarray:
@@ -306,7 +327,7 @@ _MAX_PATTERN_WIDTH = 2**63 - 1
 # Largest patch side: rendering and the PGM writer hold several m x m arrays
 # of 8-byte values at once, 134 MB each at m = 4095, and generate_dataset
 # renders the next patch while the writer thread writes the last one, so a
-# dataset of m = 4095 patches peaks at about 1.2 GB (0.7 GB for one patch). A
+# dataset of m = 4095 patches peaks at about 0.8 GB (0.55 GB for one patch). A
 # larger m is refused before numpy fails to allocate.
 MAX_PATCH_SIDE = 4095
 
@@ -474,9 +495,10 @@ def _sample_defect(kind: str, cfg: GenerationConfig, f: float,
 
 
 # generate_dataset renders on the calling thread and writes patch files on one
-# writer thread: creating a file and the PGM writer's numpy gathers run mostly
-# without the GIL, so the next patch renders meanwhile. At most _HANDOFF
-# rendered patches wait for the writer, which bounds the memory this adds.
+# writer thread: creating and writing a file and the PGM writer's numpy passes
+# run without the GIL, so the next patch renders meanwhile, though the
+# writer's bytes.translate holds it. At most _HANDOFF rendered patches wait
+# for the writer, which bounds the memory this adds.
 _HANDOFF = 1
 
 

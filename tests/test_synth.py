@@ -1,5 +1,6 @@
 """Fringe rendering, defect injection, and dataset generation."""
 
+import csv
 import hashlib
 import io
 import math
@@ -160,6 +161,78 @@ def test_defect_center_outside_patch_rejected():
         phase_field(DefectSpec("scratch", (45.0, 45.0), 5.0, 1.0), 91)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_defect_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(ConfigError, match="radius must be positive and finite"):
+        phase_field(DefectSpec(DIRT, (45.0, 45.0), radius, 1.0), 91)
+
+
+def _first_written_phase_field(defect, m):
+    """The first phase_field, over the whole grid: the oracle for the support box."""
+    defect.validate(m)
+    rows = np.arange(m, dtype=float)[:, None]
+    cols = np.arange(m, dtype=float)[None, :]
+    d = np.hypot(rows - defect.center[0], cols - defect.center[1])
+    if defect.kind == CRATER:
+        s1 = synth._CRATER_SIGMA_SCALE * defect.radius
+        s2 = s1 / 2.0
+        taper_start = synth._CRATER_TAPER_START * defect.radius
+        ring = np.exp(-d**2 / (2 * s1**2)) - np.exp(-d**2 / (2 * s2**2))
+        ring *= synth._cos_taper(d, taper_start, defect.radius)
+        ring[d >= defect.support_radius] = 0.0
+        dd = np.linspace(0.0, defect.radius, 2001)
+        gg = np.exp(-dd**2 / (2 * s1**2)) - np.exp(-dd**2 / (2 * s2**2))
+        gg *= synth._cos_taper(dd, taper_start, defect.radius)
+        return -defect.strength * ring / gg.max()
+    bump = np.exp(-d**2 / (2 * (defect.radius / 2.0)**2))
+    bump *= synth._cos_taper(d, synth._DIRT_TAPER_START_R * defect.radius,
+                             synth._DIRT_TAPER_END_R * defect.radius)
+    bump[d >= defect.support_radius] = 0.0
+    return defect.strength * bump
+
+
+def _first_written_render(spec, m, origin_col, seed, defect):
+    """The first render_patch pixels, out of place on the full-grid phase."""
+    cols = origin_col + np.arange(m, dtype=float)
+    theta = 2.0 * np.pi * spec.frequency * cols / spec.pattern_width + spec.phase
+    phi = _first_written_phase_field(defect, m)
+    pixels = spec.offset + spec.amplitude * np.sin(theta[None, :] + phi)
+    if spec.noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        pixels = pixels + spec.noise_sigma * rng.standard_normal((m, m))
+    return pixels
+
+
+@st.composite
+def _defects(draw):
+    """(m, defect): any center in [0, m), radii over the configurable range."""
+    m = draw(st.sampled_from([31, 91, 301]))
+    center = st.one_of(st.sampled_from([0.0, 0.5, m / 2, m - 1.0, math.nextafter(m, 0)]),
+                       st.floats(0.0, m, exclude_max=True))
+    radius = st.one_of(st.sampled_from([1e-100, 0.3, 1.0, 2.0, 2.0 * m, 1e100]),
+                       st.floats(-100.0, 100.0).map(lambda e: 10.0**e),
+                       st.floats(0.1, 1.5 * m))
+    return m, DefectSpec(kind=draw(st.sampled_from([CRATER, DIRT])),
+                         center=(draw(center), draw(center)), radius=draw(radius),
+                         strength=draw(st.sampled_from([0.0, 1.0, 3.5]) | st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_defects(), frequency=st.sampled_from([8.0, 64.0]),
+       phase=st.sampled_from([0.0, math.pi / 2, math.pi]),
+       noise_sigma=st.sampled_from([0.0, 0.005, 0.1]), seed=st.integers(0, 2**32))
+def test_phase_field_and_render_match_first_written_full_grid(case, frequency, phase,
+                                                              noise_sigma, seed):
+    m, defect = case
+    # tobytes so that -0.0 and 0.0 differ
+    assert phase_field(defect, m).tobytes() == _first_written_phase_field(defect, m).tobytes()
+    spec = PatternSpec(frequency=frequency, phase=phase, pattern_width=3 * m,
+                       noise_sigma=noise_sigma)
+    got = render_patch(spec, m, origin_col=m // 2, seed=seed, defect=defect).pixels
+    want = _first_written_render(spec, m, m // 2, seed, defect)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_pgm_round_trip(tmp_path):
     spec = PatternSpec(frequency=8.0, pattern_width=364, noise_sigma=0.01)
     patch = render_patch(spec, 31, origin_col=3, seed=11)
@@ -220,7 +293,9 @@ def test_pgm_writer_matches_first_written_oracle(tmp_path, m, case):
 
 
 def test_decimal_table_matches_first_written_division_oracle():
-    # The first table: digits by integer division, widths by comparison.
+    # The first table: digits by integer division, widths by comparison, and
+    # a keep-mask beside it. The one table is its text with a 0 in every
+    # byte the mask dropped.
     values = np.arange(65536)
     text = np.zeros((65536, 8), dtype=np.uint8)
     text[:, :5] = values[:, None] // 10 ** np.arange(4, -1, -1) % 10 + ord("0")
@@ -229,10 +304,9 @@ def test_decimal_table_matches_first_written_division_oracle():
     keep = np.zeros((65536, 8), dtype=bool)
     keep[:, :5] = np.arange(5) >= 5 - width[:, None]
     keep[:, 5] = True
-    got_text, got_keep = _decimal_table()
-    assert got_text.dtype == got_keep.dtype == np.uint64
-    np.testing.assert_array_equal(got_text, text.view(np.uint64)[:, 0])
-    np.testing.assert_array_equal(got_keep, keep.view(np.uint64)[:, 0])
+    got = _decimal_table()
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, np.where(keep, text, 0).view(np.uint64)[:, 0])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -253,6 +327,30 @@ def test_patch_csv_round_trip(tmp_path):
     path = tmp_path / "p.csv"
     write_patch_csv(patch, path)
     np.testing.assert_array_equal(read_patch_csv(path), patch.pixels)
+
+
+def _first_written_csv(patch, path):
+    """The first CSV writer, one repr(float(v)) per numpy scalar."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in patch.pixels:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def test_patch_csv_writer_matches_first_written_oracle(tmp_path):
+    patch = render_patch(PatternSpec(pattern_width=364, noise_sigma=0.05), 31,
+                         origin_col=5, seed=3,
+                         defect=DefectSpec(DIRT, (15.0, 15.0), 4.0, 2.0))
+    pixels = patch.pixels.copy()
+    pixels[0, :4] = [-0.0, 5e-324, 1e-300, 1e300]
+    for case in (patch, replace(patch, pixels=pixels),
+                 replace(patch, pixels=patch.pixels.astype(np.float32))):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_patch_csv(case, new)
+        _first_written_csv(case, old)
+        assert new.read_bytes() == old.read_bytes()
+        if case.pixels is pixels:
+            assert old.read_text().startswith("-0.0,5e-324,1e-300,1e+300,")
 
 
 def small_config(**overrides):
@@ -301,6 +399,36 @@ def test_generate_dataset_matches_pinned_digest(tmp_path):
     assert len(paths) == 18
     assert digest.hexdigest() == (
         "ff993d2b9617446a553541e4c0a235b81efc09a31fa01b7053dc37b36c2ee407")
+
+
+def _dataset_digest(ds):
+    """sha256 of the manifest, then each patch file's name and bytes in name order."""
+    digest = hashlib.sha256((ds / "manifest.csv").read_bytes())
+    for path in sorted((ds / "patches").iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("m, fmt, counts, expected", [
+    # centers stay within 40 of the middle, so every box lies inside the patch
+    (301, "pgm", (2, 3, 3),
+     "b70739e1bedc592cd18667feca0c8b7cf7145d0012532c9162d58c3f7f7382d0"),
+    # centers reach 1..29 here, so 7 of the 10 dirt supports cross the edge
+    (31, "csv", (1, 10, 6),
+     "489377cd3803dd12235df05917225741a83c4703ebbce9e6490d0a650edd2845"),
+], ids=["m301-pgm", "m31-csv"])
+def test_generate_dataset_of_small_jittered_defects_matches_pinned_digest(
+        tmp_path, m, fmt, counts, expected):
+    # Taken at commit d720c29, whose phase_field evaluated the whole grid
+    # (numpy 2.4, x86-64): the support box must not change a byte, also
+    # where it is clipped at the patch edge.
+    cfg = GenerationConfig(m=m, count_defect_free=counts[0], count_dirt=counts[1],
+                           count_crater=counts[2], frequencies=(8.0,), phases=(math.pi,),
+                           center_jitter=40.0, crater_radius=(1.0, 2.0),
+                           dirt_radius=(1.0, 2.0), format=fmt)
+    generate_dataset(cfg, seed=10, out_dir=tmp_path / "ds")
+    assert _dataset_digest(tmp_path / "ds") == expected
 
 
 def test_generate_dataset_of_numpy_scalar_channels_loads_back(tmp_path):
