@@ -35,15 +35,15 @@ per-pair distance, except where that overflows to inf (differences past
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, DimensionMismatchError, SingleClassError
-from .features import FeatureVector, read_features_csv
+from .features import FeatureVector, read_features_csv, write_csv_rows
 
 # Candidate margin of the distance screen, in units of the dot-product
 # error bound (dim + 4) * eps * (|q|^2 + max |r|^2); twice the bound on the
@@ -269,11 +269,8 @@ def load_reference_csv(path: str | Path,
 def write_posteriors_csv(posteriors: list[PosteriorVector],
                          classes: tuple[str, ...], path: str | Path) -> None:
     """Serialize posteriors: patch_id, true_label, predicted, p_<class>.., entropy."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patch_id", "true_label", "predicted"]
-                        + [f"p_{c}" for c in classes] + ["entropy"])
-        for pv in posteriors:
-            writer.writerow([pv.patch_id, pv.true_label or "", pv.predicted]
-                            + [repr(float(p)) for p in pv.probabilities]
-                            + [repr(float(pv.entropy))])
+    header = ["patch_id", "true_label", "predicted", *(f"p_{c}" for c in classes), "entropy"]
+    write_csv_rows(path, chain([header], (
+        [pv.patch_id, pv.true_label or "", pv.predicted]
+        + [repr(float(p)) for p in pv.probabilities] + [repr(float(pv.entropy))]
+        for pv in posteriors)))

@@ -40,6 +40,13 @@ def derive_run_seeds(seed: int, n_runs: int) -> list[int]:
     return [int(v) for v in state]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _config_values(path: str | None) -> dict[str, tuple[str, str]]:
     if not path:
         return {}
@@ -93,7 +100,7 @@ def cmd_extract(args) -> int:
     extract = (feat.colstd_features if args.feature == "colstd"
                else functools.partial(feat.extract_edf_features, q=args.q))
     # the pool forks all its workers up front, so never more than can do work
-    workers = min(args.threads, len(patches), os.cpu_count() or 1)
+    workers = min(args.threads, len(patches), usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -8,8 +8,8 @@ crossing a surface defect come out wigglier and need more degrees of
 freedom, so the feature profile peaks there.
 
 A cheap baseline feature (per-column standard deviations) is provided for
-comparison runs. The module also holds the readers every command shares:
-UTF-8 text, CSV rows and flat key=value config lines.
+comparison runs. The module also holds the readers and the writer every
+command shares: UTF-8 text, CSV rows and flat key=value config lines.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -167,20 +168,23 @@ def colstd_features(patch: Patch) -> FeatureVector:
                          frequency=patch.frequency, phase=patch.phase)
 
 
+def write_csv_rows(path: str | Path, rows: Iterable[Iterable]) -> None:
+    """Write rows to path as one UTF-8 CSV, whatever the locale's encoding."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
     """Serialize feature vectors: patch_id, label, f, psi, m, tau_1..tau_m."""
     if not features:
         raise DataError("no feature vectors to write")
     m = features[0].dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patch_id", "label", "f", "psi", "m"]
-                        + [f"tau_{i}" for i in range(1, m + 1)])
-        for fv in features:
-            if fv.dim != m:
-                raise DataError("feature vectors of mixed dimension")
-            writer.writerow([fv.patch_id, fv.label or "", repr(float(fv.frequency)),
-                             repr(float(fv.phase)), m] + [repr(float(v)) for v in fv.tau])
+    if any(fv.dim != m for fv in features):
+        raise DataError("feature vectors of mixed dimension")
+    header = ["patch_id", "label", "f", "psi", "m"] + [f"tau_{i}" for i in range(1, m + 1)]
+    write_csv_rows(path, chain([header], (
+        [fv.patch_id, fv.label or "", repr(float(fv.frequency)), repr(float(fv.phase)), m]
+        + [repr(float(v)) for v in fv.tau] for fv in features)))
 
 
 def read_utf8(path: str | Path, error: type[DataError] = DataError) -> str:

@@ -25,7 +25,6 @@ columns are put into its own class order before the posteriors.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ import numpy as np
 from .classifier import (LabeledFeatureSet, _check_queries, _entropy_rows,
                          _min_distances, _posteriors, build_reference)
 from .errors import DataError
-from .features import FeatureVector
+from .features import FeatureVector, write_csv_rows
 
 # Most validation rows, over all its runs, that one scoring pass stacks (a run
 # is never split). A pass holds about a dozen (rows, K) and (rows,) float
@@ -232,15 +231,12 @@ class EvaluationReport:
             fh.write("\n")
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "statistic", "value"])
-            for name, series in self.metrics.items():
-                for i, v in enumerate(series.runs, start=1):
-                    writer.writerow([name, f"run_{i}", "" if v is None else repr(v)])
-                mean, se = series.mean, series.se
-                writer.writerow([name, "mean", "" if mean is None else repr(mean)])
-                writer.writerow([name, "se", "" if se is None else repr(se)])
+        rows = [["metric", "statistic", "value"]]
+        for name, series in self.metrics.items():
+            stats = [(f"run_{i}", v) for i, v in enumerate(series.runs, start=1)]
+            stats += [("mean", series.mean), ("se", series.se)]
+            rows += [[name, stat, "" if v is None else repr(v)] for stat, v in stats]
+        write_csv_rows(path, rows)
 
 
 def _score_runs(dist: np.ndarray, orders: np.ndarray, true_class: np.ndarray,

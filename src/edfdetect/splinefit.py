@@ -94,11 +94,11 @@ class _Factorization:
 class SplineModel:
     """Cubic B-spline basis, design and curvature penalty for rows of length m.
 
-    The fields are not changed after construction; factorization() fills
-    _fact once, on first use, and a race between workers only computes the
-    same value twice, so a model is safe to share. The design is
-    evaluated at sites 1..m, the penalty integrates squared second derivatives
-    over [1, m].
+    The fields are not changed after construction; factorization() computes
+    _fact on first use and keeps it. No model is shared between extract's
+    workers: they are forked processes, each with its own model cache. The
+    design is evaluated at sites 1..m, the penalty integrates squared second
+    derivatives over [1, m].
     """
 
     q: int
@@ -118,20 +118,16 @@ class SplineModel:
 class PenalizedFit:
     """Result of one penalized least-squares fit.
 
-    lam and edf are eager, and making a fit whose m - edf falls below
-    tolerance raises DegenerateGcvError; coefficients, fitted, gcv and rss
-    are computed on first read, from the model and projection the fit keeps.
+    lam and edf are eager, and m - edf is at least _GCV_DENOM_TOL:
+    fit_penalized checks it, and select_lambda returns only points with a
+    finite GCV. coefficients, fitted, gcv and rss are computed on first read,
+    from the model and projection the fit keeps.
     """
 
     lam: float
     edf: float
     _model: SplineModel = field(repr=False, compare=False)
     _proj: tuple = field(repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self._model.m - self.edf < _GCV_DENOM_TOL:
-            raise DegenerateGcvError(f"m - edf = {self._model.m - self.edf:.3e} leaves no "
-                                     "residual degrees of freedom")
 
     def _shrink(self) -> np.ndarray:
         return 1.0 / (1.0 + self.lam * self._model.factorization().gamma)
@@ -297,6 +293,9 @@ def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit
     if not np.isfinite(lam) or lam < 0.0:
         raise DataError(f"lambda must be finite and >= 0, got {lam}")
     edf = float((1.0 / (1.0 + lam * model.factorization().gamma)).sum())
+    if model.m - edf < _GCV_DENOM_TOL:
+        raise DegenerateGcvError(f"m - edf = {model.m - edf:.3e} leaves no "
+                                 "residual degrees of freedom")
     return PenalizedFit(float(lam), edf, model, proj)
 
 

@@ -20,7 +20,6 @@ from the master seed and the patch index.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import threading
@@ -32,7 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import (MIN_PATCH_SIDE, Patch, channel_problem, csv_rows,
-                       parse_key_values, q_for_frequency, read_utf8, typed_values)
+                       parse_key_values, q_for_frequency, read_utf8, typed_values,
+                       write_csv_rows)
 
 DEFECT_FREE = "defect_free"
 CRATER = "crater"
@@ -52,12 +52,21 @@ class PatternSpec:
     noise_sigma: float = 0.005
 
     def validate(self) -> None:
-        if self.amplitude <= 0:
-            raise ConfigError("amplitude must be positive")
-        if self.pattern_width < 1:
-            raise ConfigError("pattern_width must be >= 1")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        problem = channel_problem(self.frequency, self.phase)
+        if problem:
+            raise ConfigError(problem)
+        if not self.pattern_width >= 1:
+            raise ConfigError(f"pattern_width must be >= 1, got {self.pattern_width!r}")
+        if not self.amplitude > 0:
+            raise ConfigError(f"amplitude must be positive, got {self.amplitude!r}")
+        if not self.noise_sigma >= 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        lo, hi = _pgm_range(self)
+        if not 0 < hi - lo < math.inf:     # also catches a non-finite offset
+            raise ConfigError(
+                f"offset {self.offset!r}, amplitude {self.amplitude!r} and "
+                f"noise_sigma {self.noise_sigma!r} give the PGM range "
+                f"{lo!r} {hi!r} at f={self.frequency!r}; need finite lo < hi")
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,8 @@ class DefectSpec:
             raise ConfigError(f"unknown defect kind {self.kind!r}")
         if not 0 < self.radius < math.inf:
             raise ConfigError(f"defect radius must be positive and finite, got {self.radius}")
-        if self.strength < 0:
-            raise ConfigError("defect strength must be >= 0")
+        if not 0 <= self.strength < math.inf:
+            raise ConfigError(f"defect strength must be in [0, inf), got {self.strength!r}")
         r, c = self.center
         if not (0 <= r < m and 0 <= c < m):
             raise DataError(f"defect center {self.center} outside {m}x{m} patch")
@@ -281,10 +290,8 @@ def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
 
 
 def write_patch_csv(patch: Patch, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in patch.pixels.astype(float, copy=False).tolist():
-            writer.writerow(map(repr, row))
+    rows = patch.pixels.astype(float, copy=False).tolist()
+    write_csv_rows(path, (map(repr, row) for row in rows))
 
 
 def read_patch_csv(path: str | Path) -> np.ndarray:
@@ -390,12 +397,8 @@ class GenerationConfig:
             raise ConfigError("class counts must be >= 0")
         if not self.frequencies or not self.phases:
             raise ConfigError("need at least one frequency and one phase")
-        for name in ("offset", "amplitude", "noise_sigma", "center_jitter"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.center_jitter < 0:
-            raise ConfigError(f"center_jitter must be >= 0, got {self.center_jitter}")
+        if not 0 <= self.center_jitter < math.inf:
+            raise ConfigError(f"center_jitter must be in [0, inf), got {self.center_jitter}")
         for name in ("crater_radius", "crater_strength", "dirt_radius",
                      "dirt_strength"):
             bounds = getattr(self, name)
@@ -426,12 +429,6 @@ class GenerationConfig:
                     raise ConfigError(f"f={f!r}, phase {psi!r}, pattern_width {width!r} "
                                       f"and the defect strengths give the non-finite "
                                       f"phase {reach!r}")
-                lo, hi = _pgm_range(spec)
-                if not 0 < hi - lo < math.inf:
-                    raise ConfigError(
-                        f"offset {spec.offset!r}, amplitude {spec.amplitude!r} and "
-                        f"noise_sigma {spec.noise_sigma!r} give the PGM range "
-                        f"{lo!r} {hi!r} at f={f!r}; need finite lo < hi")
 
 
 _PHASE_TOKENS = {"0": 0.0, "pi/2": math.pi / 2, "pi": math.pi,
@@ -591,10 +588,7 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
                             yield functools.partial(write_patch_csv, patch, out / fname)
 
     _write_behind(writes())
-    with open(out / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MANIFEST_COLUMNS)
-        writer.writerows(rows)
+    write_csv_rows(out / "manifest.csv", [_MANIFEST_COLUMNS] + rows)
     return out / "manifest.csv"
 
 

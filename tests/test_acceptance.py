@@ -45,7 +45,9 @@ def channel_reports(tmp_path_factory):
         rep = root / f"report{f}.json"
         assert cli.main(["generate", "--seed", "42", "--out", str(ds),
                          "--set", f"frequencies={f}", "--set", "phases=pi"]) == 0
-        assert cli.main(["extract", "--data", str(ds), "--out", str(feats)]) == 0
+        # the pool's workers give the serial run's bytes (test_cli checks that)
+        assert cli.main(["extract", "--data", str(ds), "--out", str(feats),
+                         "--threads", str(cli.usable_cpus())]) == 0
         assert cli.main(["evaluate", "--features", str(feats), "--out",
                          str(rep), "--seed", "7", "--runs", "10",
                          "--train-frac", "0.7", "--merge", "crater,dirt"]) == 0

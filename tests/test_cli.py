@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -213,8 +215,29 @@ def test_extract_transpose_flag(pipeline):
     assert out.read_bytes() != feats.read_bytes()
 
 
+def _set_usable_cpus(monkeypatch, cpus):
+    """Let this process run on cpus CPUs of a host with more; None is a host
+    that reports neither an affinity mask nor a CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4 * cpus)
+
+
+def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    _set_usable_cpus(monkeypatch, 3)
+    assert cli.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.usable_cpus() == 12
+    _set_usable_cpus(monkeypatch, None)
+    assert cli.usable_cpus() == 1
+
+
 def test_extract_threads_match_serial(pipeline, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # reach the pool on one CPU too
+    _set_usable_cpus(monkeypatch, 2)  # reach the pool on one CPU too
     root, _, ds, feats = pipeline
     out = root / "features_mt.csv"
     assert cli.main(["extract", "--data", str(ds), "--out", str(out),
@@ -247,7 +270,7 @@ def test_extract_starts_at_most_one_worker_per_cpu_and_patch(
     # no process is started: the pool is a fake, the 18-patch dataset is real
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "workers", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _set_usable_cpus(monkeypatch, cpus)
     _, _, ds, feats = pipeline
     out = tmp_path / "f.csv"
     assert cli.main(["extract", "--data", str(ds), "--out", str(out),
@@ -764,9 +787,10 @@ assert scipy_modules() == [], scipy_modules()
 """
 
 
-def _run_child(script: str, *args) -> None:
-    """Run script in a fresh interpreter that imports this edfdetect."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _run_child(script: str, *args, env: dict | None = None) -> None:
+    """Run script in a fresh interpreter that imports this edfdetect, with env
+    on top of this process's environment."""
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True)
@@ -1055,3 +1079,69 @@ def test_config_file_exits_0_or_3_with_one_error_line(pipeline, command, data):
     assert payload["exit_code"] == 3
     if command == "generate" and payload["error"] == "ConfigError":
         assert not out.exists()
+
+
+# A command run under the locale whose preferred encoding is argv[1].
+_UNDER_LOCALE = """\
+import codecs, locale, sys
+import edfdetect.cli as cli
+assert codecs.lookup(locale.getpreferredencoding(False)).name == sys.argv[1]
+assert cli.main(sys.argv[2:]) == 0
+"""
+_LOCALES = {"ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            "utf-8": {"PYTHONUTF8": "1"}}
+
+
+def _relabel_csv(src, dst, column, labels):
+    """Copy the CSV src to dst with labels applied to one column's values."""
+    with open(src, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index(column)
+    for row in rows[1:]:
+        row[col] = labels.get(row[col], row[col])
+    with open(dst, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("command", ["extract", "classify"])
+def test_non_ascii_labels_are_written_as_utf8_under_an_ascii_locale(
+        pipeline, tmp_path, command):
+    _, _, ds, feats = pipeline
+    labels = {"dirt": "défaut", "crater": "cratère"}
+    if command == "extract":
+        shutil.copytree(ds, tmp_path / "ds")
+        _relabel_csv(ds / "manifest.csv", tmp_path / "ds" / "manifest.csv", "label", labels)
+        argv = ["extract", "--data", tmp_path / "ds"]
+    else:
+        _relabel_csv(feats, tmp_path / "f.csv", "label", labels)
+        argv = ["classify", "--reference", tmp_path / "f.csv",
+                "--queries", tmp_path / "f.csv", "--leave-one-out"]
+    for encoding, env in _LOCALES.items():
+        _run_child(_UNDER_LOCALE, encoding, *argv, "--out", tmp_path / f"{encoding}.csv",
+                   env=env)
+    written = (tmp_path / "ascii.csv").read_bytes()
+    assert written == (tmp_path / "utf-8.csv").read_bytes()
+    assert ",défaut,".encode() in written
+
+
+_MAIN = "import sys, edfdetect.cli as cli\nassert cli.main(sys.argv[1:]) == 0\n"
+
+# Largest |dtau| between this host's kernels and the AVX2 ones (f = 8, q = 20)
+# on the acceptance fixture's channel of 1000 patches.
+CROSS_HOST_TAU_BOUND = 3.2e-14
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernel switches are x86-64 ones")
+def test_extract_tau_agrees_across_x86_kernels(pipeline, tmp_path):
+    # numpy without its AVX-512 loops and OpenBLAS on its AVX2 kernels: what a
+    # host without AVX-512 runs. Bytes may differ; tau stays within the bound.
+    _, _, ds, feats = pipeline
+    out = tmp_path / "f.csv"
+    _run_child(_MAIN, "extract", "--data", ds, "--out", out,
+               env={"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+                    "OPENBLAS_CORETYPE": "Haswell"})
+    native, other = read_features_csv(feats), read_features_csv(out)
+    assert [fv.patch_id for fv in other] == [fv.patch_id for fv in native]
+    for a, b in zip(native, other):
+        assert np.abs(a.tau - b.tau).max() <= CROSS_HOST_TAU_BOUND, a.patch_id

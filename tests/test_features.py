@@ -235,6 +235,27 @@ def test_features_csv_round_trip_of_numpy_scalars(tmp_path):
     np.testing.assert_array_equal(back.tau, fv.tau)
 
 
+def test_features_csv_of_mixed_dimension_writes_no_file(tmp_path):
+    rng = np.random.default_rng(5)
+    vectors = [extract_edf_features(make_patch(rng.standard_normal((m, m)), patch_id=f"p{m}"))
+               for m in (31, 33)]
+    path = tmp_path / "features.csv"
+    with pytest.raises(DataError, match="mixed dimension"):
+        write_features_csv(vectors, path)
+    assert not path.exists()
+
+
+def test_features_csv_is_utf8_text(tmp_path):
+    fv = extract_edf_features(make_patch(np.random.default_rng(4).standard_normal((31, 31)),
+                                         label="défaut", patch_id="été-1"))
+    path = tmp_path / "features.csv"
+    write_features_csv([fv], path)
+    assert path.read_bytes().startswith("patch_id,".encode())
+    assert "été-1,défaut,".encode("utf-8") in path.read_bytes()
+    (back,) = read_features_csv(path)
+    assert (back.patch_id, back.label) == ("été-1", "défaut")
+
+
 def test_features_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
