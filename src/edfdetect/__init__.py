@@ -24,7 +24,7 @@ _EXPORTS = {
                  "write_features_csv"),
     "metrics": ("EvaluationReport", "average_entropy", "hard_metrics",
                 "probability_metrics", "repeated_evaluation", "stratified_split"),
-    "splinefit": ("PenalizedFit", "SplineModel", "build_spline_model",
+    "splinefit": ("PenalizedFit", "Selection", "SplineModel", "build_spline_model",
                   "fit_penalized", "select_lambda"),
     "synth": ("DefectSpec", "GenerationConfig", "PatternSpec", "generate_dataset",
               "load_dataset", "render_patch"),

@@ -34,23 +34,22 @@ so a full GCV profile costs O(q) per lambda. The two zero entries of g span
 the affine functions, which the penalty never touches; that makes
 edf = sum(d) land exactly on q at lam = 0 and never fall below 2.
 
-Every row passes through the same three steps: _project checks it once,
-scales it by a power of two and computes w = Q'z (Q the design in spectral
-coordinates) and the residual rss0 outside the spline space; GCV scores a
-lambda from edf and the spectral rss = rss0 + sum((1 - d)^2 w^2), on the
-grid as one vector with the denominators _factorize made once per model, off
-it by _gcv in floats with the same operations; PenalizedFit holds the chosen
-lambda, its edf and the projection, and builds coefficients, fitted, gcv and
-rss, with the scaling undone, only on first read. fit_penalized is _project
-plus the fit, and select_lambda puts the grid search and its refinement in
-between.
+Every row passes through _project, which checks it once, scales it by a
+power of two and computes w = Q'z (Q the design in spectral coordinates) and
+the residual rss0 outside the spline space. GCV scores a lambda from edf and
+the spectral rss = rss0 + sum((1 - d)^2 w^2): on the grid as one vector with
+the denominators _factorize made once per model, off it by _gcv in floats
+with the same operations. Choosing lambda and fitting at it are separate
+calls: select_lambda returns only the choice, a Selection (lam, edf), and
+fit_penalized builds the whole PenalizedFit at a given lambda, with the
+scaling undone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,44 +113,28 @@ class SplineModel:
         return self._fact
 
 
-@dataclass
-class PenalizedFit:
-    """Result of one penalized least-squares fit.
+class Selection(NamedTuple):
+    """The GCV choice for one row: lambda and the edf of the fit at it.
 
-    lam and edf are eager, and m - edf is at least _GCV_DENOM_TOL:
-    fit_penalized checks it, and select_lambda returns only points with a
-    finite GCV. coefficients, fitted, gcv and rss are computed on first read,
-    from the model and projection the fit keeps.
+    m - edf is at least _GCV_DENOM_TOL: select_lambda returns only points with
+    a finite GCV.
     """
 
     lam: float
     edf: float
-    _model: SplineModel = field(repr=False, compare=False)
-    _proj: tuple = field(repr=False, compare=False)
 
-    def _shrink(self) -> np.ndarray:
-        return 1.0 / (1.0 + self.lam * self._model.factorization().gamma)
 
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        w, k = self._proj[0], self._proj[4]
-        with np.errstate(over="ignore"):  # a row near the float range
-            return np.ldexp(self._model.factorization().basis_map @ (self._shrink() * w), k)
+@dataclass(frozen=True)
+class PenalizedFit:
+    """Result of one penalized least-squares fit at lam, every field computed
+    by fit_penalized. m - edf is at least _GCV_DENOM_TOL."""
 
-    @cached_property
-    def fitted(self) -> np.ndarray:
-        return self._model.design @ self.coefficients
-
-    @cached_property
-    def _scores(self) -> tuple[float, float]:
-        _, w_sq, rss0, rss_floor, k = self._proj
-        gcv, rss = _gcv(self._model.m, self.edf,
-                        rss0 + float(((1.0 - self._shrink()) ** 2) @ w_sq), rss_floor)
-        with np.errstate(over="ignore"):  # the rss of a row near the float range is inf
-            return float(np.ldexp(gcv, 2 * k)), float(np.ldexp(rss, 2 * k))
-
-    gcv = property(lambda self: self._scores[0])
-    rss = property(lambda self: self._scores[1])
+    lam: float
+    edf: float
+    coefficients: np.ndarray
+    fitted: np.ndarray
+    gcv: float
+    rss: float
 
 
 def build_spline_model(m: int, q: int) -> SplineModel:
@@ -249,7 +232,7 @@ def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, floa
     """Check one row and project it onto the spectral basis.
 
     The row is first scaled by 2^-k, with k the binary exponent of max|z|, so
-    that w^2 cannot overflow; the scaling is exact and PenalizedFit undoes it.
+    that w^2 cannot overflow; the scaling is exact and fit_penalized undoes it.
     Returns (w, w^2, rss0, rss_floor, k) of the scaled row: the spectral
     coordinates w = Q'z, their squares, the rss of the part of z outside the
     spline space, and the rss under which a fit counts as exact. Raises
@@ -285,18 +268,26 @@ def _gcv(m: int, edf: float, rss: float, rss_floor: float) -> tuple[float, float
 def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit:
     """Solve argmin ||z - X b||^2 + lam * b' S b and attach EDF and GCV.
 
-    Raises DataError for a malformed row or lambda, IllPosedFitError for a
-    rank-deficient design and DegenerateGcvError when m - edf falls below
-    tolerance.
+    Every field is computed here, with the 2^k row scaling of _project undone
+    on the coefficients (and so the fitted values), gcv and rss; the rss and
+    gcv of a row near the float range are inf. Raises DataError for a
+    malformed row or lambda, IllPosedFitError for a rank-deficient design and
+    DegenerateGcvError when m - edf falls below tolerance.
     """
-    proj = _project(model, z)
+    w, w_sq, rss0, rss_floor, k = _project(model, z)
     if not np.isfinite(lam) or lam < 0.0:
         raise DataError(f"lambda must be finite and >= 0, got {lam}")
-    edf = float((1.0 / (1.0 + lam * model.factorization().gamma)).sum())
+    fact = model.factorization()
+    d = 1.0 / (1.0 + lam * fact.gamma)
+    edf = float(d.sum())
     if model.m - edf < _GCV_DENOM_TOL:
         raise DegenerateGcvError(f"m - edf = {model.m - edf:.3e} leaves no "
                                  "residual degrees of freedom")
-    return PenalizedFit(float(lam), edf, model, proj)
+    gcv, rss = _gcv(model.m, edf, rss0 + float(((1.0 - d) ** 2) @ w_sq), rss_floor)
+    with np.errstate(over="ignore"):  # a row near the float range
+        coefficients = np.ldexp(fact.basis_map @ (d * w), k)
+        gcv, rss = float(np.ldexp(gcv, 2 * k)), float(np.ldexp(rss, 2 * k))
+    return PenalizedFit(float(lam), edf, coefficients, model.design @ coefficients, gcv, rss)
 
 
 def _slope_root(slope, lo: float, hi: float, tol: float = 1e-13) -> float | None:
@@ -350,7 +341,7 @@ def _slope_root(slope, lo: float, hi: float, tol: float = 1e-13) -> float | None
     return (lo + hi) / 2.0
 
 
-def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
+def select_lambda(model: SplineModel, z: np.ndarray) -> Selection:
     """Pick the GCV-minimizing smoothing parameter for one row.
 
     Grid search over LAMBDA_GRID, then one refinement pass in log-lambda
@@ -360,10 +351,10 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
     minimizer when its score is strictly better; ties resolve toward larger
     lambda (the smoother fit). Without a sign change in the bracket the grid
     minimizer stands, so a row that the spline reproduces to within the rss
-    floor keeps the largest grid lambda at which it does.
+    floor keeps the largest grid lambda at which it does. Returns only the
+    choice; fit_penalized(model, z, lam) builds the fit at it.
     """
-    proj = _project(model, z)
-    _, w_sq, rss0, rss_floor, _ = proj
+    _, w_sq, rss0, rss_floor, _ = _project(model, z)
     fact = model.factorization()
     m, gamma = model.m, fact.gamma
 
@@ -409,4 +400,4 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> PenalizedFit:
         gcv_ref, lam_ref = _gcv(m, edf_ref, rss_ref, rss_floor)[0], math.exp(log_ref)
         if gcv_ref < gcv_grid[best] or (gcv_ref == gcv_grid[best] and lam_ref > lam):
             lam, edf = lam_ref, edf_ref
-    return PenalizedFit(lam, edf, model, proj)
+    return Selection(lam, edf)

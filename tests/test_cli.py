@@ -1126,22 +1126,39 @@ def test_non_ascii_labels_are_written_as_utf8_under_an_ascii_locale(
 
 _MAIN = "import sys, edfdetect.cli as cli\nassert cli.main(sys.argv[1:]) == 0\n"
 
-# Largest |dtau| between this host's kernels and the AVX2 ones (f = 8, q = 20)
-# on the acceptance fixture's channel of 1000 patches.
-CROSS_HOST_TAU_BOUND = 3.2e-14
+# Largest |dtau| between this host's kernels and the AVX2 ones on the
+# acceptance fixture's channels of 1000 patches, by frequency (q = 20, 30, 40).
+CROSS_HOST_TAU_BOUND = {8.0: 3.2e-14, 16.0: 4.8e-14, 64.0: 1.6e-13}
+
+# numpy without its AVX-512 loops and OpenBLAS on its AVX2 kernels: what a
+# host without AVX-512 runs. Bytes may differ; tau stays within the bound.
+_AVX2_HOST = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+              "OPENBLAS_CORETYPE": "Haswell"}
+
+_x86_only = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                               reason="the kernel switches are x86-64 ones")
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="the kernel switches are x86-64 ones")
-def test_extract_tau_agrees_across_x86_kernels(pipeline, tmp_path):
-    # numpy without its AVX-512 loops and OpenBLAS on its AVX2 kernels: what a
-    # host without AVX-512 runs. Bytes may differ; tau stays within the bound.
-    _, _, ds, feats = pipeline
-    out = tmp_path / "f.csv"
-    _run_child(_MAIN, "extract", "--data", ds, "--out", out,
-               env={"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
-                    "OPENBLAS_CORETYPE": "Haswell"})
+def _assert_tau_agrees_on_an_avx2_host(ds, feats, out):
+    _run_child(_MAIN, "extract", "--data", ds, "--out", out, env=_AVX2_HOST)
     native, other = read_features_csv(feats), read_features_csv(out)
     assert [fv.patch_id for fv in other] == [fv.patch_id for fv in native]
     for a, b in zip(native, other):
-        assert np.abs(a.tau - b.tau).max() <= CROSS_HOST_TAU_BOUND, a.patch_id
+        assert np.abs(a.tau - b.tau).max() <= CROSS_HOST_TAU_BOUND[a.frequency], a.patch_id
+
+
+@_x86_only
+def test_extract_tau_agrees_across_x86_kernels(pipeline, tmp_path):
+    _, _, ds, feats = pipeline
+    _assert_tau_agrees_on_an_avx2_host(ds, feats, tmp_path / "f.csv")
+
+
+@_x86_only
+def test_extract_tau_agrees_across_x86_kernels_at_q30_and_q40(tmp_path):
+    config = tmp_path / "gen.cfg"
+    config.write_text(CONFIG_TEXT.replace("m=31\nfrequencies=8", "m=91\nfrequencies=16,64"))
+    ds, feats = tmp_path / "ds", tmp_path / "features.csv"
+    assert cli.main(["generate", "--config", str(config), "--seed", "3", "--out", str(ds)]) == 0
+    assert cli.main(["extract", "--data", str(ds), "--out", str(feats)]) == 0
+    assert {fv.frequency for fv in read_features_csv(feats)} == {16.0, 64.0}
+    _assert_tau_agrees_on_an_avx2_host(ds, feats, tmp_path / "f.csv")

@@ -99,6 +99,19 @@ def test_defect_free_rows_noisy_spread_within_calibrated_band():
     assert fv.tau.max() == 1.0
 
 
+@pytest.mark.parametrize("f", [8.0, 16.0, 32.0, 64.0])
+def test_clean_row_edf_median_sits_in_the_calibrated_band(f):
+    # docs/calibration.md: the shipped defaults put the median EDF of clean
+    # rows at 0.55-0.65 q; 20 clean patches with fixed origins and noise seeds
+    spec, q = GenerationConfig().channel_spec(f, np.pi), q_for_frequency(f)
+    model = build_spline_model(91, q)
+    origins = np.random.default_rng(11).integers(0, spec.pattern_width - 91 + 1, 20)
+    edfs = [select_lambda(model, row).edf
+            for seed, origin in enumerate(origins)
+            for row in standardize_patch(render_patch(spec, 91, int(origin), seed)).pixels]
+    assert 0.55 <= np.median(edfs) / q <= 0.65
+
+
 def test_crater_rows_are_the_wiggliest():
     crater = DefectSpec(CRATER, (41.0, 45.0), radius=13.0, strength=2.75)
     fv = extract_edf_features(render_patch(F8_SPEC, 91, origin_col=50, seed=0,

@@ -221,7 +221,7 @@ def test_select_affine_data_prefers_smoothest():
     model = build_spline_model(50, 15)
     t = np.arange(1, 51, dtype=float)
     z = 0.3 + 0.05 * t
-    fit = select_lambda(model, z)
+    fit = fit_penalized(model, z, select_lambda(model, z).lam)
     assert fit.rss <= 1e-16 * (z @ z)
     assert fit.lam == LAMBDA_GRID[-1]  # tie-break toward the largest lambda
     assert fit.edf <= 2.2
@@ -235,7 +235,7 @@ def test_select_matches_fine_grid():
     model = build_spline_model(50, 15)
     t = np.arange(1, 51)
     z = np.sin(2 * np.pi * t / 13) + 0.05 * rng.standard_normal(50)
-    fit = select_lambda(model, z)
+    fit = fit_penalized(model, z, select_lambda(model, z).lam)
     fine = np.geomspace(1e-6, 1e6, 12 * 70 + 1)
     gcv_fine = min(fit_penalized(model, z, lam).gcv for lam in fine)
     assert abs(fit.gcv - gcv_fine) <= 1e-3 * gcv_fine
@@ -379,8 +379,11 @@ def test_select_lambda_is_scale_free_on_huge_rows():
     assert (huge.lam, huge.edf) == (plain.lam, plain.edf)
     exact = select_lambda(model, z * 2.0 ** 530)
     assert (exact.lam, exact.edf) == (plain.lam, plain.edf)
-    np.testing.assert_array_equal(exact.coefficients, plain.coefficients * 2.0 ** 530)
-    assert exact.rss == math.inf and huge.rss == math.inf
+    plain_fit = fit_penalized(model, z, plain.lam)
+    huge_fit = fit_penalized(model, z * 1e160, huge.lam)
+    exact_fit = fit_penalized(model, z * 2.0 ** 530, exact.lam)
+    np.testing.assert_array_equal(exact_fit.coefficients, plain_fit.coefficients * 2.0 ** 530)
+    assert exact_fit.rss == math.inf and huge_fit.rss == math.inf
 
 
 @pytest.mark.parametrize("q", [20, 30, 40])
@@ -393,8 +396,7 @@ def test_grid_edf_is_the_sum_of_each_grid_points_shrinkage(q):
 
 
 def _eager_fit(model, proj, lam):
-    """(coefficients, fitted, edf, gcv, rss) as first written: every field
-    computed when the fit is made."""
+    """(coefficients, fitted, edf, gcv, rss) as first written, in numpy."""
     w, w_sq, rss0, rss_floor, k = proj
     fact = model.factorization()
     d = 1.0 / (1.0 + lam * fact.gamma)
@@ -407,18 +409,20 @@ def _eager_fit(model, proj, lam):
 
 
 @pytest.mark.parametrize("f", [8.0, 64.0])
-def test_fit_fields_built_on_first_read_match_an_eager_fit(f):
+def test_fit_penalized_matches_an_eager_fit_and_the_selected_edf(f):
     model = build_spline_model(91, q_for_frequency(f))
     z = _noise_row(5) + np.sin(np.arange(91) / 7.0)
     huge = [z * 1e160, z * 2.0 ** 530]  # rss is inf on both
     for row in _oracle_rows(f) + huge:
         selected = select_lambda(model, row)
-        for fit in (selected, fit_penalized(model, row, selected.lam)):
-            coef, fitted, edf, gcv, rss = _eager_fit(model, _project(model, row), fit.lam)
-            assert fit.edf == edf
-            assert _bit_equal(fit.fitted, fitted) and _bit_equal(fit.coefficients, coef)
-            assert (fit.gcv, fit.rss) == (gcv, rss)
-    assert math.isinf(select_lambda(model, huge[0]).rss)
+        fit = fit_penalized(model, row, selected.lam)
+        coef, fitted, edf, gcv, rss = _eager_fit(model, _project(model, row), selected.lam)
+        assert fit.edf == edf
+        assert _bit_equal(fit.fitted, fitted) and _bit_equal(fit.coefficients, coef)
+        assert (fit.gcv, fit.rss) == (gcv, rss)
+        # the edf select_lambda reports is the edf of the fit at its lambda
+        assert selected.edf == fit.edf
+    assert math.isinf(fit_penalized(model, huge[0], select_lambda(model, huge[0]).lam).rss)
 
 
 def _bisect(slope, lo, hi, tol=1e-13):
@@ -561,7 +565,7 @@ def test_a_row_the_spline_reproduces_keeps_its_largest_perfect_fit_grid_point():
     x = np.arange(1.0, 92.0)
     for q in (20, 30, 40):
         for z in ((x - 45.0) ** 2, (x - 30.0) ** 3 / 1e4):
-            fit = select_lambda(_model_91(q), z)
+            fit = fit_penalized(_model_91(q), z, select_lambda(_model_91(q), z).lam)
             (i,) = np.flatnonzero(LAMBDA_GRID == fit.lam)
             assert fit.gcv == 0.0 and i < len(LAMBDA_GRID) - 1, (q, fit.lam)
             assert fit_penalized(_model_91(q), z, LAMBDA_GRID[i + 1]).gcv > 0.0, q
