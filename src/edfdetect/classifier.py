@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionMismatchError, SingleClassError
-from .features import FeatureVector, read_features_csv, write_csv_rows
+from .features import FeatureVector, read_features_csv, stacked_taus, write_csv_rows
 
 # Candidate margin of the distance screen, in units of the dot-product
 # error bound (dim + 4) * eps * (|q|^2 + max |r|^2); twice the bound on the
@@ -109,18 +109,20 @@ def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
     class_of = np.array([classes.index(label) for label in labels])
     order = np.argsort(class_of, kind="stable")
     return LabeledFeatureSet(
-        vectors=np.array([vectors[i].tau for i in order], dtype=float),
+        vectors=stacked_taus(vectors)[order],
         classes=tuple(classes), sizes=np.bincount(class_of),
         patch_ids=tuple(vectors[i].patch_id for i in order))
 
 
-def _check_queries(ref: LabeledFeatureSet, queries: list[FeatureVector]) -> None:
-    """Refuse a query whose dimension is not the reference's."""
+def _check_queries(ref: LabeledFeatureSet, queries: list[FeatureVector]) -> np.ndarray:
+    """The queries' tau stacked; refuses a query whose dimension is not the
+    reference's, or that read_features_csv would refuse."""
     for i, fv in enumerate(queries):
         if fv.dim != ref.dim:
             raise DimensionMismatchError(
                 f"query {i} ({fv.patch_id!r}) has dim {fv.dim}, "
                 f"reference dim is {ref.dim}")
+    return stacked_taus(queries)
 
 
 def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
@@ -237,8 +239,7 @@ def classify_batch(ref: LabeledFeatureSet, queries: list[FeatureVector],
     """
     if not queries:
         return []
-    _check_queries(ref, queries)
-    arr = np.array([fv.tau for fv in queries], dtype=float)
+    arr = _check_queries(ref, queries)
     ids = [fv.patch_id for fv in queries] if leave_one_out else None
 
     dists = _min_distances(ref, arr, exclude_ids=ids)

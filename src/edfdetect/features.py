@@ -59,6 +59,7 @@ class Patch:
             raise DataError(f"patch pixels must be square with side >= 2, got {shape}")
         if not np.isfinite(self.pixels).all():
             raise DataError(f"patch {self.patch_id!r} has non-finite pixels")
+        check_channel(self.frequency, self.phase, f"patch {self.patch_id!r}: ")
 
 
 @dataclass
@@ -103,19 +104,18 @@ def standardize_patch(patch: Patch) -> Patch:
     return replace(patch, pixels=(pixels - mean) / std)
 
 
-def channel_problem(f: float, psi: float) -> str | None:
-    """Why (f, psi) is not a channel, or None: f must lie in (0, inf), psi be finite."""
+def check_channel(f: float, psi: float, prefix: str = "",
+                  error: type[DataError] = DataError) -> None:
+    """Raise error(prefix + why) unless (f, psi) is a channel: f in (0, inf), psi finite."""
     if not 0 < f < math.inf:
-        return f"frequency must be in (0, inf), got {f!r}"
+        raise error(f"{prefix}frequency must be in (0, inf), got {f!r}")
     if not math.isfinite(psi):
-        return f"phase must be finite, got {psi!r}"
-    return None
+        raise error(f"{prefix}phase must be finite, got {psi!r}")
 
 
 def q_for_frequency(f: float) -> int:
     """Basis dimension for the smoother, keyed on the pattern frequency."""
-    if f <= 0:
-        raise DataError(f"frequency must be positive, got {f}")
+    check_channel(f, 0.0)  # the channel rule for f alone
     if f <= 8:
         return 20
     if f <= 32:
@@ -125,9 +125,7 @@ def q_for_frequency(f: float) -> int:
 
 @lru_cache(maxsize=32)
 def _cached_model(m: int, q: int) -> SplineModel:
-    model = build_spline_model(m, q)
-    model.factorization()
-    return model
+    return build_spline_model(m, q)
 
 
 def extract_edf_features(patch: Patch, q: int | None = None) -> FeatureVector:
@@ -174,6 +172,24 @@ def write_csv_rows(path: str | Path, rows: Iterable[Iterable]) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def stacked_taus(vectors: list[FeatureVector]) -> np.ndarray:
+    """The tau of one or more vectors of one dimension, as an (n, dim) array.
+
+    Refuses what read_features_csv refuses, with a DataError that names the
+    first such vector: a tau that is not 1-D and finite, or an (f, psi) that
+    is not a channel. The tau check is one array call on the stack.
+    """
+    # a tau that is not 1-D stacks as a NaN row, which the finite check refuses
+    taus = np.array([fv.tau if np.ndim(fv.tau) == 1 else np.full(fv.dim, np.nan)
+                     for fv in vectors], dtype=float)
+    for fv, ok in zip(vectors, np.isfinite(taus).all(axis=1).tolist()):
+        where = f"feature vector {fv.patch_id!r}: "
+        if not ok:
+            raise DataError(f"{where}tau not 1-D and finite")
+        check_channel(fv.frequency, fv.phase, where)
+    return taus
+
+
 def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
     """Serialize feature vectors: patch_id, label, f, psi, m, tau_1..tau_m."""
     if not features:
@@ -181,6 +197,7 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
     m = features[0].dim
     if any(fv.dim != m for fv in features):
         raise DataError("feature vectors of mixed dimension")
+    stacked_taus(features)  # nothing its reader would refuse
     header = ["patch_id", "label", "f", "psi", "m"] + [f"tau_{i}" for i in range(1, m + 1)]
     write_csv_rows(path, chain([header], (
         [fv.patch_id, fv.label or "", repr(float(fv.frequency)), repr(float(fv.phase)), m]
@@ -265,9 +282,7 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
             raise DataError(f"{where}: row for {row[0]!r} has wrong tau count")
         if not np.isfinite(tau).all():
             raise DataError(f"{where}: row for {row[0]!r} has non-finite tau")
-        problem = channel_problem(frequency, phase)
-        if problem:
-            raise DataError(f"{where}: {problem}")
+        check_channel(frequency, phase, f"{where}: ")
         out.append(FeatureVector(tau=tau, label=row[1] or None, patch_id=row[0],
                                  frequency=frequency, phase=phase))
     return out

@@ -27,20 +27,21 @@ slope keeps its sign more than 4 tol away from the bracket, found with
 about 15 slope calls instead of 45; unlike a secant point, it does not move
 with the last bits of the row.
 
-Internally each model carries a one-off spectral factorization: with
+Each model is made with its one-off spectral (Demmler-Reinsch) form: with
 X'X = R'R (Cholesky) and R^{-T} S R^{-1} = U diag(g) U', every quantity of
 the penalized fit becomes a diagonal reweighting with d_i = 1/(1 + lam*g_i),
 so a full GCV profile costs O(q) per lambda. The two zero entries of g span
 the affine functions, which the penalty never touches; that makes
-edf = sum(d) land exactly on q at lam = 0 and never fall below 2.
+edf = sum(d) land exactly on q at lam = 0 and never fall below 2. A design
+whose X'X is not positive definite makes no model (IllPosedFitError).
 
 Every row passes through _project, which checks it once, scales it by a
 power of two and computes w = Q'z (Q the design in spectral coordinates) and
 the residual rss0 outside the spline space. GCV scores a lambda from edf and
 the spectral rss = rss0 + sum((1 - d)^2 w^2): on the grid as one vector with
-the denominators _factorize made once per model, off it by _gcv in floats
-with the same operations. Choosing lambda and fitting at it are separate
-calls: select_lambda returns only the choice, a Selection (lam, edf), and
+the denominators the model was made with, off it by _gcv in floats with
+the same operations. Choosing lambda and fitting at it are separate calls:
+select_lambda returns only the choice, a Selection (lam, edf), and
 fit_penalized builds the whole PenalizedFit at a given lambda, with the
 scaling undone.
 """
@@ -77,27 +78,13 @@ _ONE = np.ones(())
 
 
 @dataclass
-class _Factorization:
-    """Spectral form of the penalized normal equations for one model."""
-
-    gamma: np.ndarray        # (q,) eigenvalues of R^-T S R^-1, >= 0, ascending
-    basis_map: np.ndarray    # (q, q) maps spectral coords to spline coefficients
-    ortho_design: np.ndarray  # (m, q) design in spectral coords, orthonormal columns
-    grid_edf: np.ndarray     # (G,) edf at each LAMBDA_GRID point
-    grid_shrink_sq: np.ndarray  # (G, q) (1 - d)^2 at each grid point
-    grid_scored: np.ndarray  # (G,) m - grid_edf >= _GCV_DENOM_TOL
-    grid_denom_sq: np.ndarray  # (G,) max(m - grid_edf, _GCV_DENOM_TOL)^2
-
-
-@dataclass
 class SplineModel:
     """Cubic B-spline basis, design and curvature penalty for rows of length m.
 
-    The fields are not changed after construction; factorization() computes
-    _fact on first use and keeps it. No model is shared between extract's
-    workers: they are forked processes, each with its own model cache. The
-    design is evaluated at sites 1..m, the penalty integrates squared second
-    derivatives over [1, m].
+    The design is evaluated at sites 1..m, the penalty integrates squared
+    second derivatives over [1, m]. __post_init__ computes the spectral
+    fields from them, so every model carries the spectrum of its own parts,
+    or raises IllPosedFitError. No field changes after construction.
     """
 
     q: int
@@ -105,12 +92,21 @@ class SplineModel:
     knots: np.ndarray
     design: np.ndarray
     penalty: np.ndarray
-    _fact: _Factorization | None = field(default=None, repr=False, compare=False)
+    gamma: np.ndarray = field(init=False)  # (q,) eigenvalues of R^-T S R^-1, >= 0, ascending
+    basis_map: np.ndarray = field(init=False)  # (q, q) spectral coords to coefficients
+    ortho_design: np.ndarray = field(init=False)  # (m, q) orthonormal spectral design
+    grid_edf: np.ndarray = field(init=False)  # (G,) edf at each LAMBDA_GRID point
+    grid_shrink_sq: np.ndarray = field(init=False)  # (G, q) (1 - d)^2 on the grid
+    grid_scored: np.ndarray = field(init=False)  # (G,) m - grid_edf >= _GCV_DENOM_TOL
+    grid_denom_sq: np.ndarray = field(init=False)  # (G,) max(m - grid_edf, tol)^2
 
-    def factorization(self) -> _Factorization:
-        if self._fact is None:
-            self._fact = _factorize(self.design, self.penalty)
-        return self._fact
+    def __post_init__(self) -> None:
+        (self.gamma, self.basis_map, self.ortho_design, self.grid_edf, self.grid_shrink_sq,
+         self.grid_scored, self.grid_denom_sq) = _factorize(self.design, self.penalty)
+
+    def factorization(self) -> SplineModel:
+        """The model itself, which carries its spectral form since it was made."""
+        return self
 
 
 class Selection(NamedTuple):
@@ -195,7 +191,8 @@ def _basis_values(knots: np.ndarray, x: np.ndarray, nu: int) -> np.ndarray:
     return out
 
 
-def _factorize(design: np.ndarray, penalty: np.ndarray) -> _Factorization:
+def _factorize(design: np.ndarray, penalty: np.ndarray) -> tuple[np.ndarray, ...]:
+    """SplineModel's spectral fields, in field order, from its design and penalty."""
     xtx = design.T @ design
     xtx = (xtx + xtx.T) / 2.0
     try:
@@ -217,15 +214,8 @@ def _factorize(design: np.ndarray, penalty: np.ndarray) -> _Factorization:
     shrink = 1.0 / (1.0 + LAMBDA_GRID[:, None] * gamma[None, :])
     grid_edf = shrink.sum(axis=1)
     denom = len(design) - grid_edf  # _gcv's denominator, row-independent on the grid
-    return _Factorization(
-        gamma=gamma,
-        basis_map=basis_map,
-        ortho_design=ortho_design,
-        grid_edf=grid_edf,
-        grid_shrink_sq=(1.0 - shrink) ** 2,
-        grid_scored=denom >= _GCV_DENOM_TOL,
-        grid_denom_sq=np.maximum(denom, _GCV_DENOM_TOL) ** 2,
-    )
+    return (gamma, basis_map, ortho_design, grid_edf, (1.0 - shrink) ** 2,
+            denom >= _GCV_DENOM_TOL, np.maximum(denom, _GCV_DENOM_TOL) ** 2)
 
 
 def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, float, int]:
@@ -245,9 +235,8 @@ def _project(model: SplineModel, z) -> tuple[np.ndarray, np.ndarray, float, floa
     if not math.isfinite(mantissa):
         raise DataError("row contains non-finite values")
     z = np.ldexp(z, -k)
-    fact = model.factorization()
-    w = fact.ortho_design.T @ z
-    resid0 = z - fact.ortho_design @ w
+    w = model.ortho_design.T @ z
+    resid0 = z - model.ortho_design @ w
     return w, w * w, float(resid0 @ resid0), _RSS_FLOOR_REL * float(z @ z), k
 
 
@@ -271,21 +260,19 @@ def fit_penalized(model: SplineModel, z: np.ndarray, lam: float) -> PenalizedFit
     Every field is computed here, with the 2^k row scaling of _project undone
     on the coefficients (and so the fitted values), gcv and rss; the rss and
     gcv of a row near the float range are inf. Raises DataError for a
-    malformed row or lambda, IllPosedFitError for a rank-deficient design and
-    DegenerateGcvError when m - edf falls below tolerance.
+    malformed row or lambda, DegenerateGcvError when m - edf is under tolerance.
     """
     w, w_sq, rss0, rss_floor, k = _project(model, z)
     if not np.isfinite(lam) or lam < 0.0:
         raise DataError(f"lambda must be finite and >= 0, got {lam}")
-    fact = model.factorization()
-    d = 1.0 / (1.0 + lam * fact.gamma)
+    d = 1.0 / (1.0 + lam * model.gamma)
     edf = float(d.sum())
     if model.m - edf < _GCV_DENOM_TOL:
         raise DegenerateGcvError(f"m - edf = {model.m - edf:.3e} leaves no "
                                  "residual degrees of freedom")
     gcv, rss = _gcv(model.m, edf, rss0 + float(((1.0 - d) ** 2) @ w_sq), rss_floor)
     with np.errstate(over="ignore"):  # a row near the float range
-        coefficients = np.ldexp(fact.basis_map @ (d * w), k)
+        coefficients = np.ldexp(model.basis_map @ (d * w), k)
         gcv, rss = float(np.ldexp(gcv, 2 * k)), float(np.ldexp(rss, 2 * k))
     return PenalizedFit(float(lam), edf, coefficients, model.design @ coefficients, gcv, rss)
 
@@ -355,13 +342,12 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> Selection:
     choice; fit_penalized(model, z, lam) builds the fit at it.
     """
     _, w_sq, rss0, rss_floor, _ = _project(model, z)
-    fact = model.factorization()
-    m, gamma = model.m, fact.gamma
+    m, gamma = model.m, model.gamma
 
     # _gcv's rule on the grid, with the row-independent denominator made once per model
-    rss_grid = rss0 + fact.grid_shrink_sq @ w_sq
-    gcv_grid = np.where(fact.grid_scored,
-                        m * (rss_grid * (rss_grid >= rss_floor)) / fact.grid_denom_sq, np.inf)
+    rss_grid = rss0 + model.grid_shrink_sq @ w_sq
+    gcv_grid = np.where(model.grid_scored,
+                        m * (rss_grid * (rss_grid >= rss_floor)) / model.grid_denom_sq, np.inf)
     last = len(LAMBDA_GRID) - 1
     best = last - int(np.argmin(gcv_grid[::-1]))  # the last of tied minima
     if not math.isfinite(gcv_grid[best]):
@@ -394,7 +380,7 @@ def select_lambda(model: SplineModel, z: np.ndarray) -> Selection:
 
     lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
     log_ref = _slope_root(gcv_slope_at, lo, hi)
-    lam, edf = float(LAMBDA_GRID[best]), float(fact.grid_edf[best])
+    lam, edf = float(LAMBDA_GRID[best]), float(model.grid_edf[best])
     if log_ref is not None:
         edf_ref, _, rss_ref = shrink_at(log_ref)
         gcv_ref, lam_ref = _gcv(m, edf_ref, rss_ref, rss_floor)[0], math.exp(log_ref)

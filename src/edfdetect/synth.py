@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import (MIN_PATCH_SIDE, Patch, channel_problem, csv_rows,
+from .features import (MIN_PATCH_SIDE, Patch, check_channel, csv_rows,
                        parse_key_values, q_for_frequency, read_utf8, typed_values,
                        write_csv_rows)
 
@@ -52,9 +52,7 @@ class PatternSpec:
     noise_sigma: float = 0.005
 
     def validate(self) -> None:
-        problem = channel_problem(self.frequency, self.phase)
-        if problem:
-            raise ConfigError(problem)
+        check_channel(self.frequency, self.phase, error=ConfigError)
         if not self.pattern_width >= 1:
             raise ConfigError(f"pattern_width must be >= 1, got {self.pattern_width!r}")
         if not self.amplitude > 0:
@@ -414,9 +412,7 @@ class GenerationConfig:
             raise ConfigError(f"file format must be pgm or csv, got {self.format}")
         for f in self.frequencies:
             for psi in self.phases:
-                problem = channel_problem(f, psi)
-                if problem:
-                    raise ConfigError(problem)
+                check_channel(f, psi, error=ConfigError)
                 spec = self.channel_spec(f, psi)
                 spec.validate()
                 width = spec.pattern_width
@@ -617,9 +613,7 @@ def load_dataset(manifest_path: str | Path, transpose: bool = False) -> list[Pat
             side = int(row["m"]) if row.get("m") else None
         except ValueError as exc:
             raise DataError(f"{where}: malformed manifest row ({exc})") from exc
-        problem = channel_problem(frequency, phase)
-        if problem:
-            raise DataError(f"{where}: {problem}")
+        check_channel(frequency, phase, f"{where}: ")
         if "\0" in row["file"]:
             raise DataError(f"{where}: file name {row['file']!r} holds a NUL byte")
         if path.suffix == ".pgm":

@@ -34,25 +34,44 @@ def report_line(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
 
 
-@pytest.fixture(scope="module")
-def channel_reports(tmp_path_factory):
-    """generate -> extract -> evaluate per channel, via the CLI."""
-    root = tmp_path_factory.mktemp("acceptance")
+def run_channels(root, generate_seed: int, evaluate_seed: int) -> dict:
+    """generate -> extract -> evaluate per channel, via the CLI; {f: report}."""
     reports = {}
     for f in CHANNELS:
         ds = root / f"ds{f}"
         feats = root / f"features{f}.csv"
         rep = root / f"report{f}.json"
-        assert cli.main(["generate", "--seed", "42", "--out", str(ds),
+        assert cli.main(["generate", "--seed", str(generate_seed), "--out", str(ds),
                          "--set", f"frequencies={f}", "--set", "phases=pi"]) == 0
         # the pool's workers give the serial run's bytes (test_cli checks that)
         assert cli.main(["extract", "--data", str(ds), "--out", str(feats),
                          "--threads", str(cli.usable_cpus())]) == 0
         assert cli.main(["evaluate", "--features", str(feats), "--out",
-                         str(rep), "--seed", "7", "--runs", "10",
+                         str(rep), "--seed", str(evaluate_seed), "--runs", "10",
                          "--train-frac", "0.7", "--merge", "crater,dirt"]) == 0
         reports[f] = json.loads(rep.read_text())
     return reports
+
+
+@pytest.fixture(scope="module")
+def channel_reports(tmp_path_factory):
+    return run_channels(tmp_path_factory.mktemp("acceptance"), 42, 7)
+
+
+def means(report) -> dict:
+    return {k: v["mean"] for k, v in report["metrics"].items()}
+
+
+def binary_ok(m) -> bool:
+    """Criterion 1 on one channel's metric means."""
+    return (m["mer"] <= MER_MAX and m["prob_mer"] <= PROB_MER_MAX
+            and m["fpr"] <= FPR_MAX and m["fnr"] <= FNR_MAX
+            and m["avg_entropy"] <= ENTROPY_MAX)
+
+
+def three_class_ok(m) -> bool:
+    """Criterion 2: the 3-class MER and the merged binary view."""
+    return m["mer_multiclass"] <= MER3_MAX and binary_ok(m)
 
 
 @pytest.mark.slow
@@ -60,11 +79,8 @@ def test_criterion_1_binary_synthetic_reproduction(channel_reports):
     all_ok = True
     details = []
     for f in CHANNELS:
-        m = {k: v["mean"] for k, v in channel_reports[f]["metrics"].items()}
-        ok = (m["mer"] <= MER_MAX and m["prob_mer"] <= PROB_MER_MAX
-              and m["fpr"] <= FPR_MAX and m["fnr"] <= FNR_MAX
-              and m["avg_entropy"] <= ENTROPY_MAX)
-        all_ok &= ok
+        m = means(channel_reports[f])
+        all_ok &= binary_ok(m)
         details.append(f"f={f} mer={m['mer']:.4f} probMER={m['prob_mer']:.4f} "
                        f"fpr={m['fpr']:.4f} fnr={m['fnr']:.4f} "
                        f"H={m['avg_entropy']:.4f}")
@@ -77,15 +93,33 @@ def test_criterion_2_three_class(channel_reports):
     all_ok = True
     details = []
     for f in CHANNELS:
-        m = {k: v["mean"] for k, v in channel_reports[f]["metrics"].items()}
-        ok = (m["mer_multiclass"] <= MER3_MAX and m["mer"] <= MER_MAX
-              and m["fpr"] <= FPR_MAX and m["fnr"] <= FNR_MAX
-              and m["prob_mer"] <= PROB_MER_MAX
-              and m["avg_entropy"] <= ENTROPY_MAX)
-        all_ok &= ok
+        m = means(channel_reports[f])
+        all_ok &= three_class_ok(m)
         details.append(f"f={f} mer3={m['mer_multiclass']:.4f}")
     report_line("criterion 2 (3-class MER + merged binary)", all_ok,
                 "; ".join(details))
+    assert all_ok
+
+
+# Fixed before the first run; a failing seed is a finding, not a reason to re-seed.
+NIGHTLY_SEEDS = (1, 2, 3)
+
+
+@pytest.mark.nightly
+@pytest.mark.parametrize("seed", NIGHTLY_SEEDS)
+def test_criteria_1_and_2_hold_at_other_seeds(tmp_path, seed):
+    """Criteria 1 and 2, at their thresholds, on datasets generated and
+    evaluated at seed/seed instead of the fixture's 42/7."""
+    reports = run_channels(tmp_path, seed, seed)
+    all_ok = True
+    details = []
+    for f in CHANNELS:
+        m = means(reports[f])
+        all_ok &= three_class_ok(m)  # criterion 2 holds criterion 1's bounds too
+        details.append(f"f={f} mer={m['mer']:.4f} probMER={m['prob_mer']:.4f} "
+                       f"fpr={m['fpr']:.4f} fnr={m['fnr']:.4f} "
+                       f"H={m['avg_entropy']:.4f} mer3={m['mer_multiclass']:.4f}")
+    report_line(f"criteria 1 and 2 at seeds {seed}/{seed}", all_ok, "; ".join(details))
     assert all_ok
 
 

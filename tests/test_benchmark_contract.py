@@ -1,7 +1,10 @@
 """The in-process API that perfbench/ calls, pinned so it stays runnable.
 
 perfbench/run.py re-derives features from PGM files, times select_lambda
-on standardized rows and imports build_spline_model from features;
+on standardized rows, imports build_spline_model from features and calls
+SplineModel.factorization() in its set-up command and its direct pass. A
+model carries its spectral form from the moment it is made, so that method
+only returns the model; it stays for those two calls alone.
 perfbench/tracing.py reads LAMBDA_GRID, the reference vectors and three
 fields of every classify_batch result, and calls cli.main in-process. The
 benchmark's own suite (perfbench/tests) is too slow for every run, so
@@ -41,7 +44,7 @@ def test_feature_functions_take_a_patch():
 
 def test_select_lambda_on_a_built_model():
     model = build_spline_model(31, 20)
-    model.factorization()
+    assert model.factorization() is model
     row = features.standardize_patch(_patch()).pixels[0]
     fit = splinefit.select_lambda(model, row)
     grid = splinefit.LAMBDA_GRID

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -482,3 +483,32 @@ def test_classify_batch_reports_bad_query_index():
     queries = [fv([0.5, 0.5], None, "ok"), fv([1.0, 2.0, 3.0], None, "bad")]
     with pytest.raises(DimensionMismatchError, match="query 1"):
         classify_batch(ref, queries)
+
+
+# what read_features_csv refuses in a row: a tau that is not 1-D and finite,
+# or an (f, psi) that is not a channel
+_UNREADABLE = {
+    "nan-tau": dict(tau=np.array([0.5, np.nan])),
+    "inf-tau": dict(tau=np.array([np.inf, 0.5])),
+    "2d-tau": dict(tau=np.zeros((2, 1))),
+    "nan-f": dict(frequency=np.nan),
+    "inf-f": dict(frequency=np.inf),
+    "zero-f": dict(frequency=0.0),
+    "nan-psi": dict(phase=np.nan),
+}
+
+
+@pytest.mark.parametrize("bad", _UNREADABLE.values(), ids=_UNREADABLE)
+def test_build_reference_refuses_a_vector_its_reader_would(bad):
+    vectors = [fv([0.0, 0.0], "a", "p0"), fv([1.0, 1.0], "b", "p1"),
+               replace(fv([0.0, 1.0], "a", "p2"), **bad)]
+    with pytest.raises(DataError, match="feature vector 'p2': "):
+        build_reference(vectors)
+
+
+@pytest.mark.parametrize("bad", _UNREADABLE.values(), ids=_UNREADABLE)
+def test_classify_batch_refuses_a_query_its_reader_would(bad):
+    # a NaN tau used to give probabilities [nan, nan] and a predicted class
+    queries = [fv([0.5, 0.5], None, "ok"), replace(fv([0.5, 0.5], None, "q1"), **bad)]
+    with pytest.raises(DataError, match="feature vector 'q1': "):
+        classify_batch(simple_ref(), queries)

@@ -782,7 +782,7 @@ assert cli.main(["classify", "--reference", root + "/f.csv", "--queries",
 assert cli.main(["evaluate", "--features", root + "/f.csv", "--seed", "1",
                  "--runs", "2", "--train-frac", "0.5", "--out", root + "/r.json"]) == 0
 from edfdetect.splinefit import build_spline_model
-build_spline_model(91, 20).factorization()
+build_spline_model(91, 20)
 assert scipy_modules() == [], scipy_modules()
 """
 

@@ -1,13 +1,16 @@
 """Standardization, EDF feature extraction, and the col.std baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from edfdetect.errors import DataError
 from edfdetect.errors import DegenerateGcvError
-from edfdetect.features import (Patch, colstd_features, extract_edf_features,
-                                q_for_frequency, read_features_csv,
-                                standardize_patch, write_features_csv)
+from edfdetect.features import (FeatureVector, Patch, colstd_features,
+                                extract_edf_features, q_for_frequency,
+                                read_features_csv, standardize_patch,
+                                write_features_csv)
 from edfdetect.splinefit import build_spline_model, select_lambda
 from edfdetect.synth import CRATER, DefectSpec, GenerationConfig, render_patch
 
@@ -292,3 +295,34 @@ def test_features_csv_unreadable_bytes_are_data_errors(tmp_path, body, line):
     path.write_bytes(b"patch_id,label,f,psi,m,tau_1\n" + body)
     with pytest.raises(DataError, match=f"{path}:{line}: "):
         read_features_csv(path)
+
+
+@pytest.mark.parametrize("f", [np.nan, np.inf, -np.inf, -1.0])
+def test_q_for_frequency_refuses_every_frequency_outside_zero_to_inf(f):
+    with pytest.raises(DataError, match="frequency must be in"):
+        q_for_frequency(f)
+
+
+@pytest.mark.parametrize("f, psi", [(np.nan, 0.0), (np.inf, 0.0), (0.0, 0.0),
+                                    (8.0, np.nan), (8.0, -np.inf)])
+@pytest.mark.parametrize("extract", [extract_edf_features, colstd_features])
+def test_a_patch_outside_every_channel_is_refused(extract, f, psi):
+    # its features CSV would be one that read_features_csv refuses
+    patch = make_patch(render_patch(F8_SPEC, 31).pixels, f=f, psi=psi, patch_id="p7")
+    with pytest.raises(DataError, match="patch 'p7': (frequency|phase) must be"):
+        extract(patch)
+
+
+@pytest.mark.parametrize("bad", [dict(tau=np.array([1.0, np.nan])),
+                                 dict(tau=np.array([np.inf, 1.0])),
+                                 dict(tau=np.ones((2, 2))), dict(frequency=np.nan),
+                                 dict(frequency=0.0), dict(phase=np.inf)],
+                         ids=["nan-tau", "inf-tau", "2d-tau", "nan-f", "zero-f",
+                              "inf-psi"])
+def test_features_csv_refuses_a_row_its_reader_would_and_writes_no_file(tmp_path, bad):
+    good = FeatureVector(tau=np.array([0.5, 1.0]), label="a", patch_id="p0",
+                         frequency=8.0, phase=0.0)
+    path = tmp_path / "f.csv"
+    with pytest.raises(DataError, match="feature vector 'p1': "):
+        write_features_csv([good, replace(good, patch_id="p1", **bad)], path)
+    assert not path.exists()

@@ -556,3 +556,19 @@ def test_report_does_not_depend_on_the_block_size(monkeypatch, runs_per_block):
     default = report_json()
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", runs_per_block * n_val)
     assert report_json() == default
+
+
+@pytest.mark.parametrize("bad", [dict(tau=np.array([0.5, np.nan, 0.5])),
+                                 dict(tau=np.array([0.5, 0.5, -np.inf])),
+                                 dict(frequency=np.nan), dict(phase=np.inf)],
+                         ids=["nan-tau", "inf-tau", "nan-f", "inf-psi"])
+def test_a_row_its_reader_would_refuse_fails_as_run_0_anywhere(bad):
+    # a NaN tau used to give prob_mer [nan, nan, nan] and a report.json
+    # holding the bare token NaN
+    data = overlapping_dataset()
+    for i in range(len(data)):
+        rows = list(data)
+        rows[i] = replace(rows[i], **bad)
+        got, want = _failure_texts(rows, 0.7, {"crater", "dirt"})
+        assert got == want, i
+        assert f"feature vector {rows[i].patch_id!r}: " in got

@@ -61,17 +61,23 @@ def _bit_equal(a, b):
 @pytest.mark.parametrize("m, q", [(m, q) for m in (31, 45, 91, 181)
                                   for q in sorted({4, 20, 30, 40, m}) if q <= m])
 def test_numpy_basis_matches_scipy_bspline_to_the_bit(m, q):
-    model = build_spline_model(m, q)
+    # build_spline_model's knots: q - 2 even breakpoints on [1, m], 4-fold ends
+    breaks = np.linspace(1.0, float(m), q - 2)
+    knots = np.concatenate([[1.0] * 3, breaks, [float(m)] * 3])
+    if (m, q) == (181, 181):  # X'X is not positive definite: no model is made
+        with pytest.raises(IllPosedFitError):
+            build_spline_model(m, q)
+    else:
+        assert _bit_equal(build_spline_model(m, q).knots, knots)
     sites = np.arange(1, m + 1, dtype=float)  # the last site is the right end knot
-    assert sites[-1] == model.knots[-1]
-    assert _bit_equal(_basis_values(model.knots, sites, 0),
-                      BSpline.design_matrix(sites, model.knots, 3).toarray())
+    assert sites[-1] == knots[-1]
+    assert _bit_equal(_basis_values(knots, sites, 0),
+                      BSpline.design_matrix(sites, knots, 3).toarray())
 
-    breaks = model.knots[3:-3]
     half = np.diff(breaks) / 2.0
     nodes = ((breaks[:-1] + half)[:, None] + half[:, None] * _GAUSS2_NODES).ravel()
-    assert _bit_equal(_basis_values(model.knots, nodes, 2),
-                      BSpline(model.knots, np.eye(q), 3)(nodes, nu=2))
+    assert _bit_equal(_basis_values(knots, nodes, 2),
+                      BSpline(knots, np.eye(q), 3)(nodes, nu=2))
 
 
 def _scipy_grid_edf(model, xtx):
@@ -106,13 +112,12 @@ def test_numpy_factorization_matches_scipy(monkeypatch, m, q):
 
     monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
     model = build_spline_model(m, q)
-    fact = model.factorization()
     monkeypatch.undo()
     (xtx, r_upper), = factors
     assert _bit_equal(r_upper, cholesky(xtx, lower=False))
-    assert np.sum(fact.gamma == 0.0) == 2
-    assert np.abs(fact.ortho_design.T @ fact.ortho_design - np.eye(q)).max() < 1e-12
-    assert np.abs(fact.grid_edf - _scipy_grid_edf(model, xtx)).max() < _GRID_EDF_DRIFT
+    assert np.sum(model.gamma == 0.0) == 2
+    assert np.abs(model.ortho_design.T @ model.ortho_design - np.eye(q)).max() < 1e-12
+    assert np.abs(model.grid_edf - _scipy_grid_edf(model, xtx)).max() < _GRID_EDF_DRIFT
 
 
 def test_single_cubic_space_has_rank_two_penalty():
@@ -266,10 +271,8 @@ def test_rank_deficient_design_raises():
     model = build_spline_model(20, 8)
     bad_design = model.design.copy()
     bad_design[:, 1] = bad_design[:, 0]  # duplicated column
-    bad = SplineModel(q=8, m=20, knots=model.knots, design=bad_design,
-                      penalty=model.penalty)
     with pytest.raises(IllPosedFitError):
-        fit_penalized(bad, np.ones(20), 0.0)
+        SplineModel(q=8, m=20, knots=model.knots, design=bad_design, penalty=model.penalty)
 
 
 def test_degenerate_gcv_error_at_interpolation():
@@ -390,20 +393,19 @@ def test_select_lambda_is_scale_free_on_huge_rows():
 def test_grid_edf_is_the_sum_of_each_grid_points_shrinkage(q):
     # select_lambda takes a winning grid point's edf from grid_edf, so it must
     # be the edf fit_penalized computes at that lambda, to the bit
-    fact = build_spline_model(91, q).factorization()
+    model = build_spline_model(91, q)
     for i in range(len(LAMBDA_GRID)):
-        assert fact.grid_edf[i] == (1 / (1 + LAMBDA_GRID[i] * fact.gamma)).sum()
+        assert model.grid_edf[i] == (1 / (1 + LAMBDA_GRID[i] * model.gamma)).sum()
 
 
 def _eager_fit(model, proj, lam):
     """(coefficients, fitted, edf, gcv, rss) as first written, in numpy."""
     w, w_sq, rss0, rss_floor, k = proj
-    fact = model.factorization()
-    d = 1.0 / (1.0 + lam * fact.gamma)
+    d = 1.0 / (1.0 + lam * model.gamma)
     edf = float(d.sum())
     gcv, rss = _array_gcv(model.m, edf, rss0 + ((1.0 - d) ** 2) @ w_sq, rss_floor)
     with np.errstate(over="ignore"):  # the rss of a row near the float range is inf
-        coef = np.ldexp(fact.basis_map @ (d * w), k)
+        coef = np.ldexp(model.basis_map @ (d * w), k)
         gcv, rss = np.ldexp(gcv, 2 * k), np.ldexp(rss, 2 * k)
     return coef, model.design @ coef, edf, float(gcv), float(rss)
 
@@ -445,21 +447,20 @@ def _oracle_select(model, z):
     own closures, a Python argmin loop, then a separate closing fit. Without a
     slope sign change the grid point stands."""
     z = np.asarray(z, dtype=float)
-    fact = model.factorization()
-    w = fact.ortho_design.T @ z
-    resid0 = z - fact.ortho_design @ w
+    w = model.ortho_design.T @ z
+    resid0 = z - model.ortho_design @ w
     rss0 = float(resid0 @ resid0)
     w_sq = w * w
     rss_floor = 1e-16 * float(z @ z)
 
-    rss_grid = rss0 + fact.grid_shrink_sq @ w_sq
+    rss_grid = rss0 + model.grid_shrink_sq @ w_sq
     rss_grid[rss_grid < rss_floor] = 0.0
-    denom = model.m - fact.grid_edf
+    denom = model.m - model.grid_edf
     gcv_grid = np.where(denom >= 1e-8,
                         model.m * rss_grid / np.maximum(denom, 1e-8) ** 2, np.inf)
 
     def gcv_at(log_lam):
-        d = 1.0 / (1.0 + math.exp(log_lam) * fact.gamma)
+        d = 1.0 / (1.0 + math.exp(log_lam) * model.gamma)
         edf = d.sum()
         if model.m - edf < 1e-8:
             return math.inf
@@ -469,7 +470,7 @@ def _oracle_select(model, z):
         return model.m * rss / (model.m - edf) ** 2
 
     def gcv_slope_at(log_lam):
-        d = 1.0 / (1.0 + math.exp(log_lam) * fact.gamma)
+        d = 1.0 / (1.0 + math.exp(log_lam) * model.gamma)
         one_minus = 1.0 - d
         edf = d.sum()
         rss = rss0 + (one_minus ** 2) @ w_sq
@@ -490,7 +491,7 @@ def _oracle_select(model, z):
         gcv_ref, lam_ref = gcv_at(log_ref), math.exp(log_ref)
         if gcv_ref < gcv_best or (gcv_ref == gcv_best and lam_ref > lam_best):
             lam_best = lam_ref
-    return lam_best, float((1.0 / (1.0 + lam_best * fact.gamma)).sum())
+    return lam_best, float((1.0 / (1.0 + lam_best * model.gamma)).sum())
 
 
 def _oracle_rows(f):
@@ -635,13 +636,12 @@ def test_select_lambda_edf_is_the_true_gcv_stationary_edf(f):
     """
     q = q_for_frequency(f)
     model = build_spline_model(91, q)
-    fact = model.factorization()
     eps = np.finfo(float).eps
     rows, last = _oracle_rows(f), len(LAMBDA_GRID) - 1
     with mpmath.workdps(40):
         for i in _TRUTH_ROWS:
             _, w_sq, rss0, rss_floor, _ = _project(model, rows[i])
-            gcv, _ = _array_gcv(91, fact.grid_edf, rss0 + fact.grid_shrink_sq @ w_sq,
+            gcv, _ = _array_gcv(91, model.grid_edf, rss0 + model.grid_shrink_sq @ w_sq,
                                 rss_floor)
             best = last - int(np.argmin(gcv[::-1]))  # select_lambda's grid point
             lo, hi = _LOG_GRID[max(best - 1, 0)], _LOG_GRID[min(best + 1, last)]
