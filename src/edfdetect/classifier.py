@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatchError, SingleClassError
+from .errors import DataError, SingleClassError
 from .features import FeatureVector, read_features_csv, stacked_taus, write_csv_rows
 
 # Candidate margin of the distance screen, in units of the dot-product
@@ -52,7 +52,7 @@ _SCREEN_MARGIN = 16
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledFeatureSet:
     """Immutable reference sample, its rows grouped by class: the first
     sizes[0] rows of vectors and patch_ids are classes[0], the next sizes[1]
@@ -68,7 +68,7 @@ class LabeledFeatureSet:
         return self.vectors.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class PosteriorVector:
     """Posterior class probabilities for one query.
 
@@ -86,43 +86,34 @@ class PosteriorVector:
     true_label: str | None = None
 
 
+def _class_members(labels: list[str]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The classes in order of first appearance and each one's rows, ascending:
+    the one rule that groups labels. Labels are told apart as Python strings,
+    so two that differ only in trailing NULs (as numpy's == does not) differ."""
+    members: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        members.setdefault(label, []).append(i)
+    return tuple(members), [np.array(rows) for rows in members.values()]
+
+
 def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
     """Validate labeled feature vectors and freeze them as a reference set,
     its classes in order of first appearance and rows in input order within
     a class."""
     if not vectors:
         raise DataError("empty reference set")
-    dim = vectors[0].dim
-    labels = []
+    taus = stacked_taus(vectors)
     for fv in vectors:
-        if fv.dim != dim:
-            raise DimensionMismatchError(
-                f"feature vector {fv.patch_id!r} has dim {fv.dim}, expected {dim}")
         if not fv.label:
             raise DataError(f"reference vector {fv.patch_id!r} is unlabeled")
-        labels.append(fv.label)
-
-    classes = list(dict.fromkeys(labels))
+    classes, members = _class_members([fv.label for fv in vectors])
     if len(classes) < 2:
-        raise SingleClassError(f"need >= 2 classes, got {classes}")
-
-    class_of = np.array([classes.index(label) for label in labels])
-    order = np.argsort(class_of, kind="stable")
+        raise SingleClassError(f"need >= 2 classes, got {list(classes)}")
+    order = np.concatenate(members)
     return LabeledFeatureSet(
-        vectors=stacked_taus(vectors)[order],
-        classes=tuple(classes), sizes=np.bincount(class_of),
+        vectors=taus[order], classes=classes,
+        sizes=np.array([len(rows) for rows in members]),
         patch_ids=tuple(vectors[i].patch_id for i in order))
-
-
-def _check_queries(ref: LabeledFeatureSet, queries: list[FeatureVector]) -> np.ndarray:
-    """The queries' tau stacked; refuses a query whose dimension is not the
-    reference's, or that read_features_csv would refuse."""
-    for i, fv in enumerate(queries):
-        if fv.dim != ref.dim:
-            raise DimensionMismatchError(
-                f"query {i} ({fv.patch_id!r}) has dim {fv.dim}, "
-                f"reference dim is {ref.dim}")
-    return stacked_taus(queries)
 
 
 def _min_distances(ref: LabeledFeatureSet, queries: np.ndarray,
@@ -239,7 +230,7 @@ def classify_batch(ref: LabeledFeatureSet, queries: list[FeatureVector],
     """
     if not queries:
         return []
-    arr = _check_queries(ref, queries)
+    arr = stacked_taus(queries, ref.dim)
     ids = [fv.patch_id for fv in queries] if leave_one_out else None
 
     dists = _min_distances(ref, arr, exclude_ids=ids)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateGcvError
+from .errors import ConfigError, DataError, DegenerateGcvError, DimensionMismatchError
 from .splinefit import SplineModel, build_spline_model, select_lambda
 
 # Standard deviation below this marks a constant (degenerate) patch.
@@ -39,7 +39,7 @@ EDF_FLOOR = 2.0
 MIN_PATCH_SIDE = 31
 
 
-@dataclass
+@dataclass(eq=False)
 class Patch:
     """One m x m grey-intensity patch plus its channel metadata."""
 
@@ -62,7 +62,7 @@ class Patch:
         check_channel(self.frequency, self.phase, f"patch {self.patch_id!r}: ")
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureVector:
     """Scaled per-row EDFs for one patch (or the col.std baseline values).
 
@@ -172,18 +172,23 @@ def write_csv_rows(path: str | Path, rows: Iterable[Iterable]) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def stacked_taus(vectors: list[FeatureVector]) -> np.ndarray:
-    """The tau of one or more vectors of one dimension, as an (n, dim) array.
-
-    Refuses what read_features_csv refuses, with a DataError that names the
-    first such vector: a tau that is not 1-D and finite, or an (f, psi) that
-    is not a channel. The tau check is one array call on the stack.
-    """
-    # a tau that is not 1-D stacks as a NaN row, which the finite check refuses
-    taus = np.array([fv.tau if np.ndim(fv.tau) == 1 else np.full(fv.dim, np.nan)
-                     for fv in vectors], dtype=float)
-    for fv, ok in zip(vectors, np.isfinite(taus).all(axis=1).tolist()):
+def stacked_taus(vectors: list[FeatureVector], dim: int | None = None) -> np.ndarray:
+    """The tau of one or more vectors of dimension dim (the first one's by
+    default) as an (n, dim) array: the one rule for a set of feature vectors.
+    It refuses, naming the first vector that breaks it, a vector of another
+    dimension (DimensionMismatchError) and what read_features_csv refuses
+    (DataError): a dim under 1, a tau that is not 1-D and finite, or an
+    (f, psi) that is not a channel."""
+    dim = vectors[0].dim if dim is None else dim
+    if dim < 1:
+        raise DataError(f"feature vectors have m={dim}; need m >= 1")
+    # a tau that is not 1-D, or not of dimension dim, stacks as a NaN row
+    taus = np.array([fv.tau if np.ndim(fv.tau) == 1 and fv.dim == dim
+                     else np.full(dim, np.nan) for fv in vectors], dtype=float)
+    for i, (fv, ok) in enumerate(zip(vectors, np.isfinite(taus).all(axis=1).tolist())):
         where = f"feature vector {fv.patch_id!r}: "
+        if fv.dim != dim:
+            raise DimensionMismatchError(f"{where}dim {fv.dim}, not {dim}, at position {i}")
         if not ok:
             raise DataError(f"{where}tau not 1-D and finite")
         check_channel(fv.frequency, fv.phase, where)
@@ -194,10 +199,7 @@ def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
     """Serialize feature vectors: patch_id, label, f, psi, m, tau_1..tau_m."""
     if not features:
         raise DataError("no feature vectors to write")
-    m = features[0].dim
-    if any(fv.dim != m for fv in features):
-        raise DataError("feature vectors of mixed dimension")
-    stacked_taus(features)  # nothing its reader would refuse
+    m = stacked_taus(features).shape[1]     # nothing its reader would refuse
     header = ["patch_id", "label", "f", "psi", "m"] + [f"tau_{i}" for i in range(1, m + 1)]
     write_csv_rows(path, chain([header], (
         [fv.patch_id, fv.label or "", repr(float(fv.frequency)), repr(float(fv.phase)), m]

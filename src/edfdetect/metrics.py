@@ -17,10 +17,11 @@ then scores a whole block of runs at once: posteriors, the merged view and
 all ten metrics are computed on the stacked validation rows and reduced
 per run along a (runs, n_val) reshape. Every step is row-wise, so a run
 scores exactly as it would alone. Class order is the one rule that needs
-care: a run's reference orders its classes by first appearance among its
-sorted training indices, which can differ between runs, and the entropy
-and merged-probability sums run in that order. So each run's distance
-columns are put into its own class order before the posteriors.
+care: a run's reference orders its classes as classifier._class_members
+does, by first appearance among its sorted training indices, which can
+differ between runs, and the entropy and merged-probability sums run in
+that order. So each run's distance columns are put into its own class
+order before the posteriors.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (LabeledFeatureSet, _check_queries, _entropy_rows,
+from .classifier import (LabeledFeatureSet, _class_members, _entropy_rows,
                          _min_distances, _posteriors, build_reference)
 from .errors import DataError
-from .features import FeatureVector, write_csv_rows
+from .features import FeatureVector, stacked_taus, write_csv_rows
 
 # Most validation rows, over all its runs, that one scoring pass stacks (a run
 # is never split). A pass holds about a dozen (rows, K) and (rows,) float
@@ -129,17 +130,13 @@ def _train_count(n: int, train_fraction: float) -> int:
 
 
 def _class_groups(labels: list[str], train_fraction: float):
-    """Classes in order of first appearance, with each one's indices and
-    training count; a class under 2 members or no validation point is refused."""
-    labels_arr = np.asarray(labels)
-    classes = tuple(dict.fromkeys(labels))
-    groups, counts = [], []
-    for c in classes:
-        idx = np.flatnonzero(labels_arr == c)
-        counts.append(_train_count(len(idx), train_fraction))
+    """The classes and their indices (classifier._class_members) and training
+    counts; a class under 2 members or no validation point is refused."""
+    classes, groups = _class_members(labels)
+    counts = [_train_count(len(idx), train_fraction) for idx in groups]
+    for c, idx in zip(classes, groups):
         if len(idx) < 2:
             raise DataError(f"class {c!r} has {len(idx)} member(s); need >= 2")
-        groups.append(idx)
     if sum(map(len, groups)) == sum(counts):
         raise DataError(f"train_fraction {train_fraction} leaves no validation points")
     return classes, groups, counts
@@ -291,7 +288,7 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
         classes, groups, counts = _class_groups(labels, train_fraction)
         train, val = _draw_split(groups, counts, seeds[0])
         run0 = build_reference([features[i] for i in np.sort(np.concatenate(train))])
-        _check_queries(run0, [features[i] for i in np.sort(np.concatenate(val))])
+        stacked_taus([features[i] for i in np.sort(np.concatenate(val))], run0.dim)
         # every run's reference holds the classes with a training count
         ref_classes = tuple(c for c, k in zip(classes, counts) if k)
         present_defects = {c for c in classes if c in defect_classes}

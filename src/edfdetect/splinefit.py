@@ -75,9 +75,10 @@ _GAUSS2_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
 # 1 as a 0-d array: a ufunc skips the scalar conversion that a float costs.
 _ONE = np.ones(())
+_SPECTRAL = {"init": False, "repr": False}     # SplineModel's computed arrays
 
 
-@dataclass
+@dataclass(eq=False)
 class SplineModel:
     """Cubic B-spline basis, design and curvature penalty for rows of length m.
 
@@ -89,16 +90,16 @@ class SplineModel:
 
     q: int
     m: int
-    knots: np.ndarray
-    design: np.ndarray
-    penalty: np.ndarray
-    gamma: np.ndarray = field(init=False)  # (q,) eigenvalues of R^-T S R^-1, >= 0, ascending
-    basis_map: np.ndarray = field(init=False)  # (q, q) spectral coords to coefficients
-    ortho_design: np.ndarray = field(init=False)  # (m, q) orthonormal spectral design
-    grid_edf: np.ndarray = field(init=False)  # (G,) edf at each LAMBDA_GRID point
-    grid_shrink_sq: np.ndarray = field(init=False)  # (G, q) (1 - d)^2 on the grid
-    grid_scored: np.ndarray = field(init=False)  # (G,) m - grid_edf >= _GCV_DENOM_TOL
-    grid_denom_sq: np.ndarray = field(init=False)  # (G,) max(m - grid_edf, tol)^2
+    knots: np.ndarray = field(repr=False)
+    design: np.ndarray = field(repr=False)
+    penalty: np.ndarray = field(repr=False)
+    gamma: np.ndarray = field(**_SPECTRAL)  # (q,) eigenvalues of R^-T S R^-1, >= 0, ascending
+    basis_map: np.ndarray = field(**_SPECTRAL)  # (q, q) spectral coords to coefficients
+    ortho_design: np.ndarray = field(**_SPECTRAL)  # (m, q) orthonormal spectral design
+    grid_edf: np.ndarray = field(**_SPECTRAL)  # (G,) edf at each LAMBDA_GRID point
+    grid_shrink_sq: np.ndarray = field(**_SPECTRAL)  # (G, q) (1 - d)^2 on the grid
+    grid_scored: np.ndarray = field(**_SPECTRAL)  # (G,) m - grid_edf >= _GCV_DENOM_TOL
+    grid_denom_sq: np.ndarray = field(**_SPECTRAL)  # (G,) max(m - grid_edf, tol)^2
 
     def __post_init__(self) -> None:
         (self.gamma, self.basis_map, self.ortho_design, self.grid_edf, self.grid_shrink_sq,
@@ -120,7 +121,7 @@ class Selection(NamedTuple):
     edf: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenalizedFit:
     """Result of one penalized least-squares fit at lam, every field computed
     by fit_penalized. m - edf is at least _GCV_DENOM_TOL."""

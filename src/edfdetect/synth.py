@@ -38,6 +38,8 @@ DEFECT_FREE = "defect_free"
 CRATER = "crater"
 DIRT = "dirt"
 CLASS_ORDER = (DEFECT_FREE, CRATER, DIRT)
+# Defect radii keep the squared Gaussian widths of phase_field normal floats.
+_MIN_RADIUS, _MAX_RADIUS = 1e-100, 1e100
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,9 @@ class PatternSpec:
             raise ConfigError(f"amplitude must be positive, got {self.amplitude!r}")
         if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        lo, hi = _pgm_range(self)
-        if not 0 < hi - lo < math.inf:     # also catches a non-finite offset
-            raise ConfigError(
-                f"offset {self.offset!r}, amplitude {self.amplitude!r} and "
-                f"noise_sigma {self.noise_sigma!r} give the PGM range "
-                f"{lo!r} {hi!r} at f={self.frequency!r}; need finite lo < hi")
+        check_pgm_range(*_pgm_range(self), f"offset {self.offset!r}, amplitude "
+                        f"{self.amplitude!r} and noise_sigma {self.noise_sigma!r} at "
+                        f"f={self.frequency!r} give the PGM ", ConfigError)
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,9 @@ class DefectSpec:
     def validate(self, m: int) -> None:
         if self.kind not in (CRATER, DIRT):
             raise ConfigError(f"unknown defect kind {self.kind!r}")
-        if not 0 < self.radius < math.inf:
-            raise ConfigError(f"defect radius must be positive and finite, got {self.radius}")
+        if not _MIN_RADIUS <= self.radius <= _MAX_RADIUS:
+            raise ConfigError(f"defect radius must be positive and finite, in [{_MIN_RADIUS}, "
+                              f"{_MAX_RADIUS}], got {self.radius!r}")
         if not 0 <= self.strength < math.inf:
             raise ConfigError(f"defect strength must be in [0, inf), got {self.strength!r}")
         r, c = self.center
@@ -192,6 +192,13 @@ def render_patch(spec: PatternSpec, m: int, origin_col: int = 0,
 # the NULs gives " ".join(map(str, row)) per line. The table is built on the
 # first write, so commands that write no PGM never pay for it.
 
+def check_pgm_range(lo: float, hi: float, prefix: str = "",
+                    error: type[DataError] = DataError) -> None:
+    """Raise error(prefix + why) unless [lo, hi] is a PGM range: 0 < hi - lo < inf."""
+    if not 0 < hi - lo < math.inf:
+        raise error(f"{prefix}range {lo!r} {hi!r}, not a finite lo < hi")
+
+
 def _pgm_range(spec: PatternSpec) -> tuple[float, float]:
     lo = spec.offset - spec.amplitude - 4 * spec.noise_sigma
     hi = spec.offset + spec.amplitude + 4 * spec.noise_sigma
@@ -220,6 +227,7 @@ def _decimal_table() -> np.ndarray:
 def write_patch_pgm(patch: Patch, path: str | Path, lo: float, hi: float) -> None:
     """Write a P2 PGM, mapping [lo, hi] linearly onto [0, 65535]."""
     lo, hi = float(lo), float(hi)  # a numpy scalar's repr is not a number
+    check_pgm_range(lo, hi, f"{path}: ")    # one its reader takes
     grey = patch.pixels - lo        # then in place, in the same order
     grey /= hi - lo
     grey *= 65535.0
@@ -266,8 +274,7 @@ def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
         lo, hi = float(bounds[0]), float(bounds[1])
     except ValueError as exc:
         raise DataError(f"{path}: malformed range comment {' '.join(bounds)!r}") from exc
-    if not 0 < hi - lo < math.inf:
-        raise DataError(f"{path}: range {lo!r} {hi!r} is not a finite lo < hi")
+    check_pgm_range(lo, hi, f"{path}: ")
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
         if width < 1 or height < 1 or not 0 < maxval <= 65535:
@@ -405,9 +412,9 @@ class GenerationConfig:
             lo, hi = bounds
             if not 0 < lo <= hi < math.inf:
                 raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf")
-            # radii keep the squared Gaussian widths of phase_field normal floats
-            if name.endswith("radius") and not 1e-100 <= lo <= hi <= 1e100:
-                raise ConfigError(f"{name} must lie in [1e-100, 1e100], got {bounds}")
+            if name.endswith("radius") and not _MIN_RADIUS <= lo <= hi <= _MAX_RADIUS:
+                raise ConfigError(f"{name} must lie in [{_MIN_RADIUS}, {_MAX_RADIUS}], "
+                                  f"got {bounds}")
         if self.format not in ("pgm", "csv"):
             raise ConfigError(f"file format must be pgm or csv, got {self.format}")
         for f in self.frequencies:

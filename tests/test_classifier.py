@@ -10,8 +10,8 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from edfdetect.classifier import (_logsumexp_rows, _min_distances,
-                                  build_reference, classify_batch,
+from edfdetect.classifier import (LabeledFeatureSet, _class_members, _logsumexp_rows,
+                                  _min_distances, build_reference, classify_batch,
                                   load_reference_csv, write_posteriors_csv)
 from edfdetect.errors import DataError, DimensionMismatchError, SingleClassError
 from edfdetect.features import FeatureVector, write_features_csv
@@ -481,8 +481,29 @@ def test_unlabeled_reference_rejected():
 def test_classify_batch_reports_bad_query_index():
     ref = simple_ref()
     queries = [fv([0.5, 0.5], None, "ok"), fv([1.0, 2.0, 3.0], None, "bad")]
-    with pytest.raises(DimensionMismatchError, match="query 1"):
+    with pytest.raises(DimensionMismatchError, match=r"'bad': dim 3, not 2, at position 1$"):
         classify_batch(ref, queries)
+
+
+def test_build_reference_refuses_dimension_0():
+    with pytest.raises(DataError, match=r"m=0; need m >= 1"):
+        build_reference([fv([], "a", "pa"), fv([], "b", "pb")])
+
+
+def test_classify_batch_refuses_dimension_0():
+    ref = LabeledFeatureSet(np.zeros((2, 0)), ("a", "b"), np.array([1, 1]), ("pa", "pb"))
+    with pytest.raises(DataError, match=r"m=0; need m >= 1"):
+        classify_batch(ref, [fv([], None, "q")])
+
+
+def test_labels_that_differ_in_trailing_nuls_are_classes_of_their_own():
+    labels = ["a", "a\0", "b", "a\0", "a"]
+    classes, members = _class_members(labels)
+    assert classes == ("a", "a\0", "b")
+    assert [rows.tolist() for rows in members] == [[0, 4], [1, 3], [2]]
+    ref = build_reference([fv([float(i)], label, f"p{i}") for i, label in enumerate(labels)])
+    assert ref.classes == classes and ref.sizes.tolist() == [2, 2, 1]
+    assert ref.patch_ids == ("p0", "p4", "p1", "p3", "p2")
 
 
 # what read_features_csv refuses in a row: a tau that is not 1-D and finite,

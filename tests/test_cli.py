@@ -762,6 +762,24 @@ def test_evaluate_with_empty_validation_split_is_data_error(pipeline, tmp_path,
     assert "no validation points" in _one_error_line(capsys)["message"]
 
 
+def test_evaluate_tells_trailing_nul_labels_apart(tmp_path):
+    feats = tmp_path / "nul.csv"
+    rows = [f"p{i},{label},8.0,0.0,1,{float(i)!r}"
+            for i, label in enumerate(["a", "a\0", "b"] * 4)]
+    feats.write_text("patch_id,label,f,psi,m,tau_1\n" + "\n".join(rows) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "r.json"
+    rc = cli.main(["evaluate", "--features", str(feats), "--seed", "3", "--runs", "2",
+                   "--train-frac", "0.5", "--merge", "b", "--out", str(out)])
+    if sys.version_info < (3, 11):      # its csv module refuses a NUL byte
+        assert rc == 3
+        return
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["classes"] == ["a", "a\0", "b"]
+    assert doc["counts"]["n_total"] == 6
+
+
 _FOOTPRINT = """\
 import sys
 def scipy_modules():

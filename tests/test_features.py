@@ -1,17 +1,19 @@
 """Standardization, EDF feature extraction, and the col.std baseline."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from edfdetect.classifier import LabeledFeatureSet, PosteriorVector
 from edfdetect.errors import DataError
-from edfdetect.errors import DegenerateGcvError
+from edfdetect.errors import DegenerateGcvError, DimensionMismatchError
 from edfdetect.features import (FeatureVector, Patch, colstd_features,
                                 extract_edf_features, q_for_frequency,
                                 read_features_csv, standardize_patch,
                                 write_features_csv)
-from edfdetect.splinefit import build_spline_model, select_lambda
+from edfdetect.splinefit import build_spline_model, fit_penalized, select_lambda
 from edfdetect.synth import CRATER, DefectSpec, GenerationConfig, render_patch
 
 F8_SPEC = GenerationConfig().channel_spec(8.0, np.pi)
@@ -256,9 +258,43 @@ def test_features_csv_of_mixed_dimension_writes_no_file(tmp_path):
     vectors = [extract_edf_features(make_patch(rng.standard_normal((m, m)), patch_id=f"p{m}"))
                for m in (31, 33)]
     path = tmp_path / "features.csv"
-    with pytest.raises(DataError, match="mixed dimension"):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"'p33': dim 33, not 31, at position 1$"):
         write_features_csv(vectors, path)
     assert not path.exists()
+
+
+def test_features_csv_of_dimension_0_writes_no_file(tmp_path):
+    # its reader refuses m = 0, so the writer refuses it too
+    vectors = [FeatureVector(tau=np.zeros(0), label="a", patch_id=f"p{i}",
+                             frequency=8.0, phase=0.0) for i in range(2)]
+    path = tmp_path / "features.csv"
+    with pytest.raises(DataError, match=r"m=0; need m >= 1"):
+        write_features_csv(vectors, path)
+    assert not path.exists()
+
+
+_RECORDS = {
+    "Patch": lambda: Patch(np.zeros((2, 2)), 8.0, 0.0),
+    "FeatureVector": lambda: FeatureVector(np.ones(3), "a", "p", 8.0, 0.0),
+    "LabeledFeatureSet": lambda: LabeledFeatureSet(np.ones((2, 3)), ("a", "b"),
+                                                   np.array([1, 1])),
+    "PosteriorVector": lambda: PosteriorVector(np.full(2, 0.5), "a", math.log(2.0),
+                                               np.full(2, -math.log(2.0)), np.zeros(2)),
+    "SplineModel": lambda: build_spline_model(31, 4),
+    "PenalizedFit": lambda: fit_penalized(build_spline_model(31, 4), np.arange(31.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("make", _RECORDS.values(), ids=_RECORDS)
+def test_records_that_hold_arrays_compare_by_identity(make):
+    # a field-by-field == would ask numpy for the truth of an array
+    one, same = make(), make()
+    assert one == one and one != same
+
+
+def test_spline_model_repr_leaves_out_its_arrays():
+    assert repr(build_spline_model(31, 4)) == "SplineModel(q=4, m=31)"
 
 
 def test_features_csv_is_utf8_text(tmp_path):

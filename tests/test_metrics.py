@@ -347,6 +347,32 @@ def test_report_counts_follow_split_rule():
             assert report.n_defect == sum(lab != "defect_free" for lab in val_labels)
 
 
+# three classes: numpy's == ignores trailing NULs, so labels are told apart
+# as Python strings
+NUL_LABELS = ["a", "a\0", "b"] * 4
+
+
+def test_trailing_nul_labels_split_as_classes_of_their_own():
+    train, val = stratified_split(NUL_LABELS, 0.5, seed=0)
+    assert np.intersect1d(train, val).size == 0
+    assert sorted(np.concatenate([train, val]).tolist()) == list(range(12))
+    assert [NUL_LABELS[i] for i in train].count("a\0") == 2
+
+
+def test_report_counts_tell_trailing_nul_labels_apart():
+    data = [fv([float(i)], label, f"p{i}") for i, label in enumerate(NUL_LABELS)]
+    report = repeated_evaluation(data, seeds=[1, 2], train_fraction=0.5,
+                                 defect_classes={"b"})
+    assert report.classes == ("a", "a\0", "b")
+    assert (report.n_total, report.n_defect) == (6, 2)
+
+
+def test_repeated_evaluation_refuses_dimension_0():
+    data = [fv([], label, f"p{i}") for i, label in enumerate("aaabbb")]
+    with pytest.raises(DataError, match=r"run 0 .*m=0; need m >= 1"):
+        repeated_evaluation(data, seeds=[1], train_fraction=0.5, defect_classes={"b"})
+
+
 def test_stratified_split_rejects_empty_validation_set():
     # round(3 * 0.9) = 3 of every class go to training
     with pytest.raises(DataError, match="no validation points"):

@@ -161,7 +161,7 @@ def test_defect_center_outside_patch_rejected():
         phase_field(DefectSpec("scratch", (45.0, 45.0), 5.0, 1.0), 91)
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan, 1e-200, 1e200])
 def test_defect_radius_must_be_positive_and_finite(radius):
     with pytest.raises(ConfigError, match="radius must be positive and finite"):
         phase_field(DefectSpec(DIRT, (45.0, 45.0), radius, 1.0), 91)
@@ -329,11 +329,16 @@ def test_decimal_table_matches_first_written_division_oracle():
 def test_pgm_writer_rejects_pixels_without_grey_level(tmp_path):
     patch = render_patch(PatternSpec(pattern_width=364), 31)
     path = tmp_path / "p.pgm"
-    with pytest.raises(DataError, match=re.escape(str(path))):
-        write_patch_pgm(patch, path, -math.inf, math.inf)
+    # each range is one read_patch_pgm refuses
+    for lo, hi in [(-math.inf, math.inf), (0.5, 0.5), (1.0, 0.0), (0.0, math.inf),
+                   (-1e308, 1e308)]:
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            write_patch_pgm(patch, path, lo, hi)
+        assert not path.exists()
     bad = replace(patch, pixels=np.where(patch.pixels > 0.9, np.nan, patch.pixels))
     with pytest.raises(DataError, match=re.escape(str(path))):
         write_patch_pgm(bad, path, 0.0, 1.0)
+    assert not path.exists()
 
 
 def test_patch_csv_round_trip(tmp_path):
