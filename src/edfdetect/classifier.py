@@ -96,17 +96,20 @@ def _class_members(labels: list[str]) -> tuple[tuple[str, ...], list[np.ndarray]
     return tuple(members), [np.array(rows) for rows in members.values()]
 
 
+def _reference_labels(vectors: list[FeatureVector]) -> list[str]:
+    """Every vector's label: the one rule that a reference vector is labeled."""
+    for fv in vectors:
+        if not fv.label:
+            raise DataError(f"reference vector {fv.patch_id!r} is unlabeled")
+    return [fv.label for fv in vectors]
+
+
 def build_reference(vectors: list[FeatureVector]) -> LabeledFeatureSet:
     """Validate labeled feature vectors and freeze them as a reference set,
     its classes in order of first appearance and rows in input order within
     a class."""
-    if not vectors:
-        raise DataError("empty reference set")
     taus = stacked_taus(vectors)
-    for fv in vectors:
-        if not fv.label:
-            raise DataError(f"reference vector {fv.patch_id!r} is unlabeled")
-    classes, members = _class_members([fv.label for fv in vectors])
+    classes, members = _class_members(_reference_labels(vectors))
     if len(classes) < 2:
         raise SingleClassError(f"need >= 2 classes, got {list(classes)}")
     order = np.concatenate(members)

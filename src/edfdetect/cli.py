@@ -94,7 +94,7 @@ def cmd_extract(args) -> int:
     manifest = Path(args.data)
     if manifest.is_dir():
         manifest = manifest / "manifest.csv"
-    patches = synth.load_dataset(manifest, transpose=args.transpose)
+    patches = synth.load_dataset(manifest)
     if not patches:
         raise DataError(f"{manifest}: empty dataset")
     extract = (feat.colstd_features if args.feature == "colstd"
@@ -190,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--feature", choices=("edf", "colstd"), default="edf")
     ext.add_argument("--q", type=int, default=None,
                      help="override the EDF basis dimension, >= 4 (default: by frequency)")
-    ext.add_argument("--transpose", action="store_true",
-                     help="transpose patches on load (fringes along columns)")
     ext.add_argument("--threads", type=_at_least_one, default=1,
                      help="worker processes, at most one per CPU and per patch")
     ext.set_defaults(func=cmd_extract)

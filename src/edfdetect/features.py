@@ -77,7 +77,8 @@ class FeatureVector:
 
     @property
     def dim(self) -> int:
-        return len(self.tau)
+        """Length of tau's first axis; a 0-d tau holds one value."""
+        return np.shape(self.tau)[0] if np.ndim(self.tau) else 1
 
 
 def standardize_patch(patch: Patch) -> Patch:
@@ -177,8 +178,10 @@ def stacked_taus(vectors: list[FeatureVector], dim: int | None = None) -> np.nda
     default) as an (n, dim) array: the one rule for a set of feature vectors.
     It refuses, naming the first vector that breaks it, a vector of another
     dimension (DimensionMismatchError) and what read_features_csv refuses
-    (DataError): a dim under 1, a tau that is not 1-D and finite, or an
-    (f, psi) that is not a channel."""
+    (DataError): no vectors, a dim under 1, a tau that is not 1-D and finite,
+    or an (f, psi) that is not a channel."""
+    if not vectors:
+        raise DataError("no feature vectors")
     dim = vectors[0].dim if dim is None else dim
     if dim < 1:
         raise DataError(f"feature vectors have m={dim}; need m >= 1")
@@ -197,13 +200,12 @@ def stacked_taus(vectors: list[FeatureVector], dim: int | None = None) -> np.nda
 
 def write_features_csv(features: list[FeatureVector], path: str | Path) -> None:
     """Serialize feature vectors: patch_id, label, f, psi, m, tau_1..tau_m."""
-    if not features:
-        raise DataError("no feature vectors to write")
-    m = stacked_taus(features).shape[1]     # nothing its reader would refuse
+    taus = stacked_taus(features)       # nothing its reader would refuse
+    m = taus.shape[1]
     header = ["patch_id", "label", "f", "psi", "m"] + [f"tau_{i}" for i in range(1, m + 1)]
     write_csv_rows(path, chain([header], (
-        [fv.patch_id, fv.label or "", repr(float(fv.frequency)), repr(float(fv.phase)), m]
-        + [repr(float(v)) for v in fv.tau] for fv in features)))
+        [fv.patch_id, fv.label or "", repr(float(fv.frequency)), repr(float(fv.phase)), m,
+         *map(repr, row)] for fv, row in zip(features, taus.tolist()))))
 
 
 def read_utf8(path: str | Path, error: type[DataError] = DataError) -> str:
@@ -262,7 +264,7 @@ def typed_values(values: dict[str, tuple[str, str]],
 
 
 def read_features_csv(path: str | Path) -> list[FeatureVector]:
-    """Load feature vectors written by write_features_csv."""
+    """Load feature vectors written by write_features_csv, each of the header's m."""
     out: list[FeatureVector] = []
     rows = csv_rows(path)
     _, header = next(rows, (0, None))
@@ -282,6 +284,9 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
             raise DataError(f"{where}: row for {row[0]!r} has m={m}; need m >= 1")
         if len(row) != 5 + m:
             raise DataError(f"{where}: row for {row[0]!r} has wrong tau count")
+        if len(row) != len(header):     # the row's m is not the header's
+            raise DataError(f"{where}: row for {row[0]!r} has m={m}, not the "
+                            f"header's {len(header) - 5}")
         if not np.isfinite(tau).all():
             raise DataError(f"{where}: row for {row[0]!r} has non-finite tau")
         check_channel(frequency, phase, f"{where}: ")

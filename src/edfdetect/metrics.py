@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import (LabeledFeatureSet, _class_members, _entropy_rows,
-                         _min_distances, _posteriors, build_reference)
+                         _min_distances, _posteriors, _reference_labels)
 from .errors import DataError
 from .features import FeatureVector, stacked_taus, write_csv_rows
 
@@ -275,29 +275,21 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
     aggregated.
 
     Per-run metric values are kept alongside across-run means and standard
-    errors. Every run has the same class counts, so the classifier's
-    reference and query checks pass on every run's rows if they pass on run
-    0's: they run once, on run 0's own training and validation rows, and a
-    failure is run 0's, in run 0's words.
+    errors. The feature set is stacked and checked once, in the caller's
+    order, before any run: a fault raises what stacked_taus, _reference_labels,
+    _class_groups or _defect_mask raise, whatever the seeds.
     """
     if not seeds:
         raise DataError("need at least one seed")
     _train_count(0, train_fraction)     # a bad fraction fails before any run
-    labels = [fv.label or "" for fv in features]
-    try:
-        classes, groups, counts = _class_groups(labels, train_fraction)
-        train, val = _draw_split(groups, counts, seeds[0])
-        run0 = build_reference([features[i] for i in np.sort(np.concatenate(train))])
-        stacked_taus([features[i] for i in np.sort(np.concatenate(val))], run0.dim)
-        # every run's reference holds the classes with a training count
-        ref_classes = tuple(c for c, k in zip(classes, counts) if k)
-        present_defects = {c for c in classes if c in defect_classes}
-        is_defect_col = _defect_mask(ref_classes, present_defects)
-    except DataError as exc:
-        raise DataError(f"evaluation run 0 (seed {seeds[0]}) failed: "
-                        f"{exc}") from exc
+    vectors = stacked_taus(features)
+    labels = _reference_labels(features)
+    classes, groups, counts = _class_groups(labels, train_fraction)
+    # every run's reference: the classes with a training count, >= 2 (_defect_mask)
+    ref_classes = tuple(c for c, k in zip(classes, counts) if k)
+    present_defects = {c for c in classes if c in defect_classes}
+    is_defect_col = _defect_mask(ref_classes, present_defects)
 
-    vectors = np.array([fv.tau for fv in features], dtype=float)
     column = {c: j for j, c in enumerate(ref_classes)}
     true_class = np.array([column.get(label, -1) for label in labels])
     is_defect_row = np.array([label in present_defects for label in labels])
@@ -321,7 +313,7 @@ def repeated_evaluation(features: list[FeatureVector], seeds: list[int],
             val_rows.append(val)
         val = np.concatenate(val_rows)
         scores = _score_runs(np.concatenate(dists), np.array(orders), true_class[val],
-                             is_defect_row[val], is_defect_col, run0.dim)
+                             is_defect_row[val], is_defect_col, vectors.shape[1])
         for name, values in scores.items():
             series[name].runs.extend(
                 [None] * len(orders) if values is None else map(float, values))

@@ -595,7 +595,7 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
     return out / "manifest.csv"
 
 
-def load_dataset(manifest_path: str | Path, transpose: bool = False) -> list[Patch]:
+def load_dataset(manifest_path: str | Path) -> list[Patch]:
     """Load all patches listed in a manifest written by generate_dataset."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -630,8 +630,6 @@ def load_dataset(manifest_path: str | Path, transpose: bool = False) -> list[Pat
         if side is not None and pixels.shape != (side, side):
             raise DataError(f"{where}: {path} holds {pixels.shape[0]}x{pixels.shape[1]} "
                             f"pixels, not m={side}")
-        if transpose:
-            pixels = pixels.T
         patches.append(Patch(
             pixels=pixels, frequency=frequency, phase=phase,
             label=row["label"] or None, patch_id=row["patch_id"]))

@@ -206,15 +206,6 @@ def test_extract_bad_q_is_refused_before_any_input_is_read(tmp_path, capsys, fla
     assert payload["message"] == message
 
 
-def test_extract_transpose_flag(pipeline):
-    root, _, ds, feats = pipeline
-    out = root / "features_t.csv"
-    assert cli.main(["extract", "--data", str(ds), "--out", str(out),
-                     "--transpose"]) == 0
-    # fringes run along rows, so transposed patches smooth differently
-    assert out.read_bytes() != feats.read_bytes()
-
-
 def _set_usable_cpus(monkeypatch, cpus):
     """Let this process run on cpus CPUs of a host with more; None is a host
     that reports neither an affinity mask nor a CPU count."""
@@ -398,6 +389,26 @@ def test_zero_dimension_features_are_data_error(tmp_path, capsys):
     assert rc == 3
     assert f"{feats}:2:" in _one_error_line(capsys)["message"]
     assert not (tmp_path / "post.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    lambda feats, out: ["classify", "--reference", feats, "--queries", feats, "--out", out],
+    lambda feats, out: ["evaluate", "--features", feats, "--seed", "1", "--out", out],
+], ids=["classify", "evaluate"])
+def test_a_row_of_another_m_than_its_header_is_refused_at_its_line(tmp_path, capsys,
+                                                                  command):
+    # row p9, on line 11, has m = 4 under a header of tau_1..tau_3
+    feats = tmp_path / "mixed.csv"
+    rows = ["patch_id,label,f,psi,m,tau_1,tau_2,tau_3"]
+    rows += [f"p{i},{'ab'[i % 2]},8.0,0.0,3,0.{i},0.5,1.0" for i in range(9)]
+    rows += ["p9,b,8.0,0.0,4,0.9,0.5,1.0,0.1"]
+    feats.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert cli.main(command(str(feats), str(out))) == 3
+    assert _one_error_line(capsys)["message"] == (
+        f"{feats}:11: row for 'p9' has m=4, not the header's 3")
+    assert list(tmp_path.iterdir()) == [feats]
 
 
 def _one_error_line(capsys) -> dict:

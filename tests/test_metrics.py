@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import edfdetect.metrics as metrics
-from edfdetect.classifier import (PosteriorVector, _entropy_rows, build_reference,
-                                  classify_batch)
+from edfdetect.classifier import (PosteriorVector, _entropy_rows, _reference_labels,
+                                  build_reference, classify_batch)
 from edfdetect.errors import DataError
-from edfdetect.features import FeatureVector
-from edfdetect.metrics import (_defect_mask, _merge_rows, average_entropy,
+from edfdetect.features import FeatureVector, stacked_taus, write_features_csv
+from edfdetect.metrics import (_class_groups, _defect_mask, _merge_rows, average_entropy,
                                hard_metrics, probability_metrics,
                                repeated_evaluation, stratified_split)
 
@@ -367,10 +367,42 @@ def test_report_counts_tell_trailing_nul_labels_apart():
     assert (report.n_total, report.n_defect) == (6, 2)
 
 
+def _raised(call, *args):
+    """(class, text) of the DataError that call(*args) raises."""
+    with pytest.raises(DataError) as err:
+        call(*args)
+    return type(err.value), str(err.value)
+
+
 def test_repeated_evaluation_refuses_dimension_0():
     data = [fv([], label, f"p{i}") for i, label in enumerate("aaabbb")]
-    with pytest.raises(DataError, match=r"run 0 .*m=0; need m >= 1"):
-        repeated_evaluation(data, seeds=[1], train_fraction=0.5, defect_classes={"b"})
+    got = _raised(repeated_evaluation, data, [1], 0.5, {"b"})
+    assert got == _raised(stacked_taus, data)
+    assert got == (DataError, "feature vectors have m=0; need m >= 1")
+    assert _raised(repeated_evaluation, data, [7, 3], 0.5, {"b"}) == got
+
+
+def test_repeated_evaluation_of_no_vectors_is_data_error():
+    got = _raised(repeated_evaluation, [], [1], 0.5, {"b"})
+    assert got == _raised(stacked_taus, [])
+    assert got[0] is DataError
+
+
+@pytest.mark.parametrize("at", [0, 3])
+def test_a_0d_tau_is_a_data_error_naming_its_patch_at_every_entry_point(tmp_path, at):
+    # a numpy scalar tau used to escape the feature-set rule as a TypeError
+    # from len()
+    good = [fv([float(i)], "ab"[i % 2], f"p{i}") for i in range(8)]
+    data = list(good)
+    data[at] = replace(good[at], tau=np.float64(at))
+    path = tmp_path / "features.csv"
+    ref = build_reference(good)
+    want = (DataError, f"feature vector 'p{at}': tau not 1-D and finite")
+    assert _raised(write_features_csv, data, path) == want
+    assert not path.exists()
+    assert _raised(build_reference, data) == want
+    assert _raised(classify_batch, ref, data) == want
+    assert _raised(repeated_evaluation, data, [1, 2], 0.5, {"b"}) == want
 
 
 def test_stratified_split_rejects_empty_validation_set():
@@ -519,36 +551,43 @@ def _run0_validation_row(data, train_fraction):
     return int(val[len(val) // 2])
 
 
-@pytest.mark.parametrize("data, train_fraction, defects", [
-    ([fv([0.0], "a"), fv([1.0], "a"), fv([2.0], "a"), fv([3.0], "b")], 0.7, {"b"}),
-    ([fv([float(i)], "ab"[i // 3]) for i in range(6)], 0.9, {"b"}),
+# seeds of a second evaluation of a failing dataset: its error is the same
+OTHER_SEEDS = [7, 3, 1]
+
+
+def _evaluation_error(data, train_fraction, defects):
+    """(class, text) of repeated evaluation's error on a failing dataset, the
+    same for two seed lists; the one-run oracle refuses the dataset too."""
+    got = _raised(repeated_evaluation, data, SEEDS, train_fraction, defects)
+    assert _raised(repeated_evaluation, data, OTHER_SEEDS, train_fraction, defects) == got
+    _raised(_oracle_run, data, SEEDS[0], train_fraction, defects)
+    return got
+
+
+@pytest.mark.parametrize("data, train_fraction, defects, rule", [
+    ([fv([0.0], "a"), fv([1.0], "a"), fv([2.0], "a"), fv([3.0], "b")], 0.7, {"b"},
+     lambda d, f: _class_groups(_reference_labels(d), f)),
+    ([fv([float(i)], "ab"[i // 3]) for i in range(6)], 0.9, {"b"},
+     lambda d, f: _class_groups(_reference_labels(d), f)),
+    # round(2 * 0.2) = 0: only "a" trains, and no proper subset of it holds "b"
     ([fv([float(i)], "a") for i in range(10)] + [fv([5.0], "b"), fv([6.0], "b")],
-     0.2, {"b"}),
-    (zero_train_count_dataset(), 0.2, {"crater", "dirt"}),
-    (_wrong_dim(overlapping_dataset(), 0), 0.7, {"crater", "dirt"}),
+     0.2, {"b"}, lambda d, f: _defect_mask(("a",), {"b"})),
+    (zero_train_count_dataset(), 0.2, {"crater", "dirt"},
+     lambda d, f: _defect_mask(("defect_free", "dirt"), {"crater", "dirt"})),
+    (_wrong_dim(overlapping_dataset(), 0), 0.7, {"crater", "dirt"},
+     lambda d, f: stacked_taus(d)),
     (_wrong_dim(overlapping_dataset(),
-                _run0_validation_row(overlapping_dataset(), 0.7)), 0.7, {"crater", "dirt"}),
-    (_unlabeled(overlapping_dataset(), 0, 1), 0.7, {"crater", "dirt"}),
+                _run0_validation_row(overlapping_dataset(), 0.7)), 0.7, {"crater", "dirt"},
+     lambda d, f: stacked_taus(d)),
+    (_unlabeled(overlapping_dataset(), 0, 1), 0.7, {"crater", "dirt"},
+     lambda d, f: _reference_labels(d)),
 ], ids=["singleton-class", "no-validation", "single-training-class",
         "defect-class-never-trained", "wrong-dim-first-row", "wrong-dim-validation-row",
         "two-unlabeled-rows"])
-def test_failing_runs_keep_their_error_text(data, train_fraction, defects):
-    with pytest.raises(DataError) as oracle:
-        _oracle_run(data, SEEDS[0], train_fraction, defects)
-    with pytest.raises(DataError) as got:
-        repeated_evaluation(data, SEEDS, train_fraction, defects)
-    assert str(got.value) == f"evaluation run 0 (seed {SEEDS[0]}) failed: {oracle.value}"
-
-
-def _failure_texts(data, train_fraction, defects):
-    """(repeated evaluation's, run 0 oracle's) error text of a failing dataset."""
-    texts = []
-    for run in (repeated_evaluation, _oracle_run):
-        with pytest.raises(DataError) as err:
-            run(data, SEEDS if run is repeated_evaluation else SEEDS[0],
-                train_fraction, defects)
-        texts.append(str(err.value))
-    return texts[0], f"evaluation run 0 (seed {SEEDS[0]}) failed: {texts[1]}"
+def test_failing_runs_keep_their_error_text(data, train_fraction, defects, rule):
+    # the error is the rule's own, whatever the seeds
+    assert (_evaluation_error(data, train_fraction, defects)
+            == _raised(rule, data, train_fraction))
 
 
 @pytest.mark.parametrize("data, defects", [
@@ -556,17 +595,19 @@ def _failure_texts(data, train_fraction, defects):
     (interleaved_dataset(4), {"c2", "c3"}),
 ], ids=["overlapping", "4-class"])
 def test_a_wrong_dimension_row_anywhere_fails_as_run_0(data, defects):
+    # stacked_taus's error, naming the position in the caller's list
     for i in range(len(data)):
-        got, want = _failure_texts(_wrong_dim(data, i), 0.7, defects)
-        assert got == want, i
+        bad = _wrong_dim(data, i)
+        assert _evaluation_error(bad, 0.7, defects) == _raised(stacked_taus, bad), i
 
 
 def test_any_two_unlabeled_rows_fail_as_run_0():
     data = overlapping_dataset()
     for i in range(len(data)):
         for j in range(i + 1, len(data)):
-            got, want = _failure_texts(_unlabeled(data, i, j), 0.7, {"crater", "dirt"})
-            assert got == want, (i, j)
+            bad = _unlabeled(data, i, j)
+            assert (_evaluation_error(bad, 0.7, {"crater", "dirt"})
+                    == _raised(_reference_labels, bad)), (i, j)
 
 
 @pytest.mark.parametrize("runs_per_block", [1, 3])
@@ -595,6 +636,6 @@ def test_a_row_its_reader_would_refuse_fails_as_run_0_anywhere(bad):
     for i in range(len(data)):
         rows = list(data)
         rows[i] = replace(rows[i], **bad)
-        got, want = _failure_texts(rows, 0.7, {"crater", "dirt"})
-        assert got == want, i
-        assert f"feature vector {rows[i].patch_id!r}: " in got
+        got = _evaluation_error(rows, 0.7, {"crater", "dirt"})
+        assert got == _raised(stacked_taus, rows), i
+        assert f"feature vector {rows[i].patch_id!r}: " in got[1]
