@@ -147,6 +147,8 @@ def cmd_evaluate(args) -> int:
     from . import metrics as met
 
     json_path, csv_path = _out_file(args.out, ".json"), _out_file(args.out, ".csv")
+    if Path(args.features).resolve() in (json_path.resolve(), csv_path.resolve()):
+        raise ConfigError(f"--out {args.out!r} would overwrite --features {args.features!r}")
     vectors = [fv for fv in feat.read_features_csv(args.features) if fv.label]
     if not vectors:
         raise DataError(f"{args.features}: no labeled feature vectors")

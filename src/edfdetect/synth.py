@@ -190,7 +190,7 @@ def render_patch(spec: PatternSpec, m: int, origin_col: int = 0,
 # with a NUL in place of each leading zero and of the padding. Gathering it at
 # the grey levels, turning each line's last space into a newline and deleting
 # the NULs gives " ".join(map(str, row)) per line. The table is built on the
-# first write, so commands that write no PGM never pay for it.
+# first use, so commands that write no PGM never pay for it.
 
 def check_pgm_range(lo: float, hi: float, prefix: str = "",
                     error: type[DataError] = DataError) -> None:
@@ -226,6 +226,16 @@ def _decimal_table() -> np.ndarray:
 
 def write_patch_pgm(patch: Patch, path: str | Path, lo: float, hi: float) -> None:
     """Write a P2 PGM, mapping [lo, hi] linearly onto [0, 65535]."""
+    _write_file(path, _pgm_text(patch, lo, hi, path))
+
+
+def _write_file(path: str | Path, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _pgm_text(patch: Patch, lo: float, hi: float, path: str | Path) -> bytes:
+    """The bytes write_patch_pgm writes to path; its errors name path."""
     lo, hi = float(lo), float(hi)  # a numpy scalar's repr is not a number
     check_pgm_range(lo, hi, f"{path}: ")    # one its reader takes
     grey = patch.pixels - lo        # then in place, in the same order
@@ -238,11 +248,10 @@ def write_patch_pgm(patch: Patch, path: str | Path, lo: float, hi: float) -> Non
     np.clip(grey, 0, 65535, out=grey)
     m = patch.side
     text = _decimal_table()[grey.astype(np.intp)].view(np.uint8).reshape(m, m, 8)
-    del grey                        # 134 MB at m = 4095, not held through the write
+    del grey                        # 134 MB at m = 4095, not held through the translate
     text[:, -1, 5] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(f"P2\n# range {lo!r} {hi!r}\n{m} {m}\n65535\n".encode())
-        fh.write(text.tobytes().translate(None, b"\0"))
+    return (f"P2\n# range {lo!r} {hi!r}\n{m} {m}\n65535\n".encode()
+            + text.tobytes().translate(None, b"\0"))
 
 
 def read_patch_pgm(path: str | Path) -> tuple[np.ndarray, float, float]:
@@ -336,11 +345,11 @@ _AUTO_NOISE_FRAC = {20: 0.20, 30: 0.12, 40: 0.08}
 _AUTO_DIRT_RADIUS = {20: (8.0, 12.0), 30: (6.0, 10.0), 40: (5.0, 9.0)}
 # Patch origins are drawn with rng.integers, which holds int64 values.
 _MAX_PATTERN_WIDTH = 2**63 - 1
-# Largest patch side: rendering and the PGM writer hold several m x m arrays
+# Largest patch side: rendering and the PGM text hold several m x m arrays
 # of 8-byte values at once, 134 MB each at m = 4095, and generate_dataset
-# renders the next patch while the writer thread writes the last one, so a
-# dataset of m = 4095 patches peaks at about 0.8 GB (0.55 GB for one patch). A
-# larger m is refused before numpy fails to allocate.
+# renders the next patch while the writer thread writes the last one's text
+# (100 MB), so a dataset of m = 4095 patches peaks at about 0.66 GB (0.55 GB
+# for one patch). A larger m is refused before numpy fails to allocate.
 MAX_PATCH_SIDE = 4095
 
 
@@ -494,11 +503,12 @@ def _sample_defect(kind: str, cfg: GenerationConfig, f: float,
     return DefectSpec(kind=kind, center=center, radius=radius, strength=strength)
 
 
-# generate_dataset renders on the calling thread and writes patch files on one
-# writer thread: creating and writing a file and the PGM writer's numpy passes
-# run without the GIL, so the next patch renders meanwhile, though the
-# writer's bytes.translate holds it. At most _HANDOFF rendered patches wait
-# for the writer, which bounds the memory this adds.
+# generate_dataset renders and formats each patch on the calling thread and
+# writes the finished bytes on one writer thread: opening, writing and closing
+# a file run without the GIL, so the next patch renders meanwhile, and the
+# writer runs no Python work that would wait for the GIL behind the render's.
+# At most _HANDOFF finished patches wait for the writer, which bounds the
+# memory this adds.
 _HANDOFF = 1
 
 
@@ -542,10 +552,10 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
     """Render the configured dataset into out_dir and write manifest.csv.
 
     Every patch gets a seed derived from (seed, patch index), so the output
-    is byte-identical across repeated runs with the same arguments. Patch
-    files are written in patch order on one background thread; the first
-    failure is raised here, after which the patch files before it are on
-    disk and no manifest is written.
+    is byte-identical across repeated runs with the same arguments. Each
+    patch is rendered and formatted here, and its file written in patch
+    order on one background thread; the first failure is raised here, after
+    which the patch files before it are on disk and no manifest is written.
     """
     cfg.validate()
     if seed < 0:
@@ -584,11 +594,12 @@ def generate_dataset(cfg: GenerationConfig, seed: int, out_dir: str | Path) -> P
                             origin, noise_seed,
                         ])
                         index += 1
+                        path = out / fname
                         if cfg.format == "pgm":
-                            yield functools.partial(write_patch_pgm, patch, out / fname,
-                                                    lo, hi)
+                            yield functools.partial(_write_file, path,
+                                                    _pgm_text(patch, lo, hi, path))
                         else:
-                            yield functools.partial(write_patch_csv, patch, out / fname)
+                            yield functools.partial(write_patch_csv, patch, path)
 
     _write_behind(writes())
     write_csv_rows(out / "manifest.csv", [_MANIFEST_COLUMNS] + rows)

@@ -321,6 +321,24 @@ def test_evaluate_out_beside_a_directory_of_its_name(pipeline, tmp_path):
     assert (tmp_path / "reports.csv").is_file()
 
 
+@pytest.mark.parametrize("out", ["feats.json", "feats", "feats.csv", "feats.report",
+                                 "sub/../feats"])
+def test_evaluate_refuses_an_out_that_would_overwrite_its_features(pipeline, tmp_path,
+                                                                   capsys, out):
+    _, _, _, feats = pipeline
+    features = tmp_path / "feats.csv"
+    features.write_bytes(feats.read_bytes())
+    rc = cli.main(["evaluate", "--features", str(features), "--seed", "1", "--runs", "2",
+                   "--out", str(tmp_path / out)])
+    assert rc == 3
+    payload = _one_error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == (f"--out {str(tmp_path / out)!r} would overwrite "
+                                  f"--features {str(features)!r}")
+    assert features.read_bytes() == feats.read_bytes()
+    assert not (tmp_path / "feats.json").exists()
+
+
 def test_extract_and_classify_make_the_out_directory(pipeline, tmp_path):
     _, _, ds, feats = pipeline
     out = tmp_path / "a" / "b" / "f.csv"
@@ -462,14 +480,16 @@ def test_patch_side_over_the_bound_is_config_error(tmp_path, capsys, source):
 ])
 def test_generate_write_failure_exits_3_with_one_error_line(tmp_path, capsys,
                                                             monkeypatch, error):
-    write_patch_pgm = synth.write_patch_pgm
+    # the PGM text refuses its pixels on the calling thread, the disk fails on the writer's
+    seam, path_arg = ("_pgm_text", 3) if isinstance(error, DataError) else ("_write_file", 0)
+    call = getattr(synth, seam)
 
-    def write(patch, path, lo, hi):
-        if path.name == "p000003.pgm":
+    def fail(*args):
+        if args[path_arg].name == "p000003.pgm":
             raise error
-        write_patch_pgm(patch, path, lo, hi)
+        return call(*args)
 
-    monkeypatch.setattr(synth, "write_patch_pgm", write)
+    monkeypatch.setattr(synth, seam, fail)
     ds = tmp_path / "ds"
     rc = cli.main(["generate", "--seed", "1", "--out", str(ds), *TINY])
     assert rc == 3

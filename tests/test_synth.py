@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import re
+import sys
 import threading
 import time
 from dataclasses import fields, replace
@@ -498,22 +499,34 @@ def _patch_files(ds):
     return {path.name: path.read_bytes() for path in sorted((ds / "patches").iterdir())}
 
 
-def _failing_write(k, error):
-    """write_patch_pgm, except that patch k raises error before any byte is written."""
-    def write(patch, path, lo, hi):
-        if Path(path).stem == f"p{k:06d}":
+# where the patch file's path is among the arguments of each generate seam
+_PATH_ARG = {"_pgm_text": 3, "_write_file": 0}
+
+
+def _failing_at(k, error, seam):
+    """synth's seam, except that patch k raises error in it: no byte of patch k is written."""
+    call = getattr(synth, seam)
+
+    def fail(*args):
+        if Path(args[_PATH_ARG[seam]]).stem == f"p{k:06d}":
             raise error
-        write_patch_pgm(patch, path, lo, hi)
-    return write
+        return call(*args)
+    return fail
 
 
-@pytest.mark.parametrize("error_type, message", [
-    (DataError, "p.pgm: pixels do not map onto 0..65535"),
-    (OSError, "[Errno 28] No space left on device"),
-])
+# the PGM text fails on the calling thread, its file write on the writer's
+_WRITE_FAILURES = [
+    (DataError, "p.pgm: pixels do not map onto 0..65535", "_pgm_text"),
+    (OSError, "[Errno 28] No space left on device", "_write_file"),
+    (DataError, "p.pgm: written by a refusing disk", "_write_file"),
+]
+
+
+@pytest.mark.parametrize("error_type, message, seam", _WRITE_FAILURES, ids=[
+    f"{error_type.__name__}-{message}" for error_type, message, _ in _WRITE_FAILURES])
 @pytest.mark.parametrize("k", [0, 6, 13])
 def test_generate_dataset_write_failure_leaves_what_serial_generation_leaves(
-        tmp_path, monkeypatch, k, error_type, message):
+        tmp_path, monkeypatch, k, error_type, message, seam):
     full = tmp_path / "full"
     generate_dataset(small_config(), seed=5, out_dir=full)
     error = error_type(message)
@@ -523,7 +536,7 @@ def test_generate_dataset_write_failure_leaves_what_serial_generation_leaves(
         renders.append(args)
         return render_patch(*args)
 
-    monkeypatch.setattr(synth, "write_patch_pgm", _failing_write(k, error))
+    monkeypatch.setattr(synth, seam, _failing_at(k, error, seam))
     monkeypatch.setattr(synth, "render_patch", render)
     threads = threading.active_count()
     ds = tmp_path / "ds"
@@ -543,12 +556,13 @@ def test_generate_dataset_write_failure_leaves_what_serial_generation_leaves(
 def test_generate_dataset_reports_a_write_failure_before_a_later_render_failure(
         tmp_path, monkeypatch):
     render_failed = threading.Event()
+    write_file = synth._write_file
 
-    def write(patch, path, lo, hi):
+    def write(path, data):
         if Path(path).stem == "p000003":
             render_failed.wait(timeout=60)      # fail after the render of p000004 fails
             raise OSError(5, "Input/output error")
-        write_patch_pgm(patch, path, lo, hi)
+        write_file(path, data)
 
     def render(spec, m, origin, seed, patch_id, defect):
         if patch_id == "p000004":
@@ -556,7 +570,7 @@ def test_generate_dataset_reports_a_write_failure_before_a_later_render_failure(
             raise DataError("render of p000004 failed")
         return render_patch(spec, m, origin, seed, patch_id, defect)
 
-    monkeypatch.setattr(synth, "write_patch_pgm", write)
+    monkeypatch.setattr(synth, "_write_file", write)
     monkeypatch.setattr(synth, "render_patch", render)
     threads = threading.active_count()
     ds = tmp_path / "ds"
@@ -602,7 +616,7 @@ def test_generate_dataset_keeps_patch_order_when_the_hand_off_fills(tmp_path, mo
         events.append(1)
         return patch
 
-    monkeypatch.setattr(synth, "write_patch_pgm", slow(write_patch_pgm))
+    monkeypatch.setattr(synth, "_write_file", slow(synth._write_file))
     monkeypatch.setattr(synth, "write_patch_csv", slow(write_patch_csv))
     monkeypatch.setattr(synth, "render_patch", render)
     test_generate_dataset_matches_pinned_digest(tmp_path / "pinned")
@@ -615,6 +629,52 @@ def test_generate_dataset_keeps_patch_order_when_the_hand_off_fills(tmp_path, mo
     assert (slowed / "manifest.csv").read_bytes() == (plain / "manifest.csv").read_bytes()
     assert list(_patch_files(slowed)) == _patch_names(14, "csv")
     assert _patch_files(slowed) == _patch_files(plain)
+
+
+@pytest.fixture
+def dense_thread_switches():
+    """Switch threads every microsecond, not every 5 ms, for one test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("test, params", [
+    *(pytest.param(test_generate_dataset_write_failure_leaves_what_serial_generation_leaves,
+                   dict(k=k, error_type=error_type, message=message, seam=seam),
+                   id=f"write-failure-{k}-{error_type.__name__}-{seam}")
+      for k in (0, 6, 13) for error_type, message, seam in _WRITE_FAILURES),
+    pytest.param(test_generate_dataset_reports_a_write_failure_before_a_later_render_failure,
+                 {}, id="write-failure-before-render-failure"),
+    pytest.param(test_generate_dataset_joins_the_writer_on_keyboard_interrupt, {},
+                 id="keyboard-interrupt"),
+    pytest.param(test_generate_dataset_keeps_patch_order_when_the_hand_off_fills, {},
+                 id="full-hand-off"),
+])
+def test_generate_writer_rules_hold_under_dense_thread_switches(
+        dense_thread_switches, tmp_path, monkeypatch, test, params):
+    # each thread switch point is a chance for the writer and the calling
+    # thread to interleave: first failure in patch order, and a join on every exit
+    test(tmp_path=tmp_path, monkeypatch=monkeypatch, **params)
+
+
+def test_generate_dataset_formats_on_the_calling_thread_and_writes_on_one_other(
+        tmp_path, monkeypatch):
+    formats, writes = [], []
+
+    def on_thread(call, threads):
+        def wrapped(*args):
+            threads.append(threading.current_thread())
+            return call(*args)
+        return wrapped
+
+    monkeypatch.setattr(synth, "_pgm_text", on_thread(synth._pgm_text, formats))
+    monkeypatch.setattr(synth, "_write_file", on_thread(synth._write_file, writes))
+    generate_dataset(small_config(), seed=5, out_dir=tmp_path / "ds")
+    assert len(formats) == len(writes) == 14
+    assert set(formats) == {threading.current_thread()}
+    assert len(set(writes)) == 1 and writes[0] is not threading.current_thread()
 
 
 def _parse_config(text):
